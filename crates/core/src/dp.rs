@@ -45,9 +45,21 @@
 //!   [`ScheduleStats::peak_memo_bytes`] reports the measured high-water
 //!   mark.
 //!
-//! The allocate/free/ready queries run through [`CostModel`]'s precomputed
-//! adjacency bitmasks: "all predecessors scheduled" and "last consumer ran"
-//! are word-level subset tests rather than edge-list scans.
+//! The allocate/free/ready queries run through the cache-dense
+//! [`TransitionTable`] the beam engine shares: "all predecessors scheduled"
+//! and "last consumer ran" are word-level subset tests against one mask
+//! pool, and successors whose only predecessor is the scheduled node join
+//! `z` as one OR-ed mask, their Zobrist keys pre-folded per node.
+//!
+//! # Equal-peak tie-breaks
+//!
+//! Several prefixes of equal peak can reach one signature, and the one kept
+//! decides which of several optimal orders the search returns. The merge
+//! keeps the candidate with the smallest `(parent hash, parent z, node)` —
+//! a key intrinsic to the candidate, never its arrival position. The
+//! survivor is therefore a function of the signature set alone: expansion
+//! order, sharding, and incumbent-bound pruning of losing states cannot
+//! change it.
 //!
 //! Two §3.2 accelerations are integrated here rather than layered on top:
 //!
@@ -60,13 +72,13 @@
 //! Frontier expansion optionally fans out across threads (`threads > 1`):
 //! workers bucket candidates by signature hash into shards, shards are
 //! merged in parallel (a signature lands in exactly one shard), and the
-//! merged arena is re-ordered by first-occurrence so the result — peaks,
-//! representatives, and the reconstructed order — is identical to a serial
-//! run.
+//! shard arenas are concatenated. Because tie-breaks are intrinsic, the
+//! result — peaks, representatives, and the reconstructed order — is
+//! identical to a serial run even though the arena order differs.
 
 use std::time::{Duration, Instant};
 
-use serenity_ir::mem::{CostModel, FootprintTracker};
+use serenity_ir::mem::{CostModel, FootprintTracker, TransitionTable};
 use serenity_ir::set::wordset;
 use serenity_ir::{Graph, GraphError, NodeId, NodeSet, ZobristTable};
 
@@ -157,15 +169,6 @@ struct StateMeta {
     node: NodeId,
 }
 
-impl StateMeta {
-    /// Generation-order key of the transition that produced this candidate:
-    /// candidates are generated in ascending `(parent, node)` order, so this
-    /// key totally orders them exactly as a serial sweep visits them.
-    fn transition_key(&self) -> u64 {
-        ((self.parent as u64) << 32) | self.node.index() as u64
-    }
-}
-
 /// One search step's states: fixed-size metadata plus a flat word pool
 /// holding each state's `z` and scheduled bitsets back to back.
 #[derive(Debug)]
@@ -175,14 +178,11 @@ struct StepArena {
     /// `2 * words` pool words per state: `z` first, then `scheduled`.
     pool: Vec<u64>,
     meta: Vec<StateMeta>,
-    /// Transition key of the *first* candidate that created each state —
-    /// better-peak replacements keep it, preserving serial insertion order.
-    first_key: Vec<u64>,
 }
 
 impl StepArena {
     fn new(words: usize) -> Self {
-        StepArena { words, pool: Vec::new(), meta: Vec::new(), first_key: Vec::new() }
+        StepArena { words, pool: Vec::new(), meta: Vec::new() }
     }
 
     fn len(&self) -> usize {
@@ -206,7 +206,6 @@ impl StepArena {
         let at = self.meta.len() as u32;
         self.pool.extend_from_slice(z);
         self.pool.extend_from_slice(scheduled);
-        self.first_key.push(meta.transition_key());
         self.meta.push(meta);
         at
     }
@@ -216,41 +215,33 @@ impl StepArena {
         (self.pool.len() * std::mem::size_of::<u64>()) as u64
     }
 
-    /// Reorders the arena into the canonical per-step layout: ascending
-    /// `(hash, z)` — a total order on signatures, since the Zobrist hash is
-    /// disambiguated by the full signature words. Expansion visits states in
-    /// arena order and equal-peak merges keep the first arrival, so a
-    /// canonical layout makes every tie-break a function of the signature
-    /// set alone — pruning a state can then never reshuffle the survivors
-    /// and change which equal-peak schedule the search returns.
-    fn sort_canonical(&mut self) {
-        let mut order: Vec<u32> = (0..self.meta.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (ma, mb) = (&self.meta[a as usize], &self.meta[b as usize]);
-            ma.hash.cmp(&mb.hash).then_with(|| self.z(a as usize).cmp(self.z(b as usize)))
-        });
-        let mut pool = Vec::with_capacity(self.pool.len());
-        let mut meta = Vec::with_capacity(self.meta.len());
-        let mut first_key = Vec::with_capacity(self.first_key.len());
-        for &i in &order {
-            let at = i as usize * 2 * self.words;
-            pool.extend_from_slice(&self.pool[at..at + 2 * self.words]);
-            meta.push(self.meta[i as usize]);
-            first_key.push(self.first_key[i as usize]);
+    /// Whether candidate `a` wins an equal-peak tie against `b`, both being
+    /// transitions out of this (parent) arena: the smaller parent signature
+    /// in `(hash, z)` order wins, then the smaller node. Distinct parents
+    /// hold distinct signatures, so this is a total order on candidates.
+    fn wins_tie(&self, a: &StateMeta, b: &StateMeta) -> bool {
+        let (pa, pb) = (a.parent as usize, b.parent as usize);
+        if pa == pb {
+            return a.node < b.node;
         }
-        self.pool = pool;
-        self.meta = meta;
-        self.first_key = first_key;
+        let by_parent =
+            self.meta[pa].hash.cmp(&self.meta[pb].hash).then_with(|| self.z(pa).cmp(self.z(pb)));
+        by_parent.is_lt()
     }
 
     /// Shrinks the arena to its backtrack records, dropping the signature
     /// pool (the compaction step: completed steps only need the parent
-    /// chain).
+    /// chain). The records get an exact-size allocation of their own; an
+    /// in-place collect would keep the twice-as-large metadata buffer alive
+    /// for the rest of the run.
     fn into_back_records(self) -> Vec<BackRec> {
-        self.meta
-            .into_iter()
-            .map(|m| BackRec { parent: m.parent, node: m.node, peak: m.peak })
-            .collect()
+        let mut recs = Vec::with_capacity(self.meta.len());
+        recs.extend(self.meta.iter().map(|m| BackRec {
+            parent: m.parent,
+            node: m.node,
+            peak: m.peak,
+        }));
+        recs
     }
 }
 
@@ -301,11 +292,13 @@ impl SigIndex {
 }
 
 /// Inserts a candidate into the next-step arena, keeping the minimum-peak
-/// state per signature (Algorithm 1, lines 21-23). Ties keep the earlier
-/// candidate in transition order, matching a serial sweep.
+/// state per signature (Algorithm 1, lines 21-23). Equal peaks are settled
+/// by [`StepArena::wins_tie`] against `frontier`, the arena the candidate
+/// was expanded from, so the survivor does not depend on arrival order.
 fn merge_candidate(
     arena: &mut StepArena,
     index: &mut SigIndex,
+    frontier: &StepArena,
     z: &[u64],
     scheduled: &[u64],
     meta: StateMeta,
@@ -329,7 +322,9 @@ fn merge_candidate(
             let existing = &mut arena.meta[at];
             // Same signature ⇒ same scheduled set ⇒ same live set ⇒ same µ.
             debug_assert_eq!(existing.mu, meta.mu, "µ must be a function of the signature");
-            if meta.peak < existing.peak {
+            if meta.peak < existing.peak
+                || (meta.peak == existing.peak && frontier.wins_tie(&meta, existing))
+            {
                 *existing = meta;
             }
             return;
@@ -353,6 +348,31 @@ fn shard_of(hash: u64, shards: usize) -> usize {
 #[inline]
 fn max_viable_of(bound: Option<&BoundHandle>) -> u64 {
     bound.map_or(u64::MAX, BoundHandle::max_viable_peak)
+}
+
+/// Per-run transition data: the shared cost table plus the Zobrist keys
+/// successor hashes are folded from.
+struct Moves {
+    table: TransitionTable,
+    zobrist: ZobristTable,
+    /// Per node, the XOR of its auto-ready successors' Zobrist keys.
+    auto_hash: Vec<u64>,
+}
+
+impl Moves {
+    fn new(cost: &CostModel<'_>) -> Self {
+        let table = cost.transition_table();
+        let zobrist = ZobristTable::new(cost.graph().len());
+        let auto_hash = cost
+            .graph()
+            .node_ids()
+            .map(|u| match table.auto_ready(u) {
+                u32::MAX => 0,
+                off => zobrist.hash_words(table.mask(off)),
+            })
+            .collect();
+        Moves { table, zobrist, auto_hash }
+    }
 }
 
 const ROOT: u32 = u32::MAX;
@@ -467,9 +487,9 @@ impl DpScheduler {
         }
 
         let cost = CostModel::new(graph);
-        let zobrist = ZobristTable::new(n);
+        let moves = Moves::new(&cost);
         let words = n.div_ceil(64);
-        let mut frontier = self.root_arena(graph, &cost, &zobrist, words, prefix)?;
+        let mut frontier = self.root_arena(graph, &cost, &moves.zobrist, words, prefix)?;
         if let Some(budget) = self.config.budget {
             if frontier.meta[0].peak > budget {
                 return Err(ScheduleError::NoSolution { budget });
@@ -491,17 +511,9 @@ impl DpScheduler {
         for step in 0..remaining {
             let step_started = Instant::now();
             let next = if self.config.threads > 1 && frontier.len() >= PARALLEL_THRESHOLD {
-                self.expand_parallel(
-                    &cost,
-                    &zobrist,
-                    &frontier,
-                    step,
-                    step_started,
-                    &mut stats,
-                    ctx,
-                )?
+                self.expand_parallel(&moves, &frontier, step, step_started, &mut stats, ctx)?
             } else {
-                self.expand_serial(&cost, &zobrist, &frontier, step, step_started, &mut stats, ctx)?
+                self.expand_serial(&moves, &frontier, step, step_started, &mut stats, ctx)?
             };
             if next.len() == 0 {
                 let budget = self.config.budget.unwrap_or(u64::MAX);
@@ -525,16 +537,6 @@ impl DpScheduler {
             // Compaction: the expanded step only needs its parent chain.
             back.push(frontier.into_back_records());
             frontier = next;
-            // Canonicalize the frontier layout before it is expanded.
-            // Equal-peak merge ties at the next step are broken by transition
-            // order — (parent arena position, node) — so the positions must
-            // be a function of the surviving signature *set*, never of
-            // insertion history. Without this, an incumbent-bound prune that
-            // removes a signature's first (high-peak) arrival shifts the
-            // survivor's slot, flips downstream ties, and a bounded run
-            // returns a different equal-peak schedule than an unbounded one
-            // — breaking the raced ≡ serial portfolio invariant.
-            frontier.sort_canonical();
         }
 
         // All nodes scheduled: the final arena holds exactly one state with
@@ -617,11 +619,9 @@ impl DpScheduler {
 
     /// Applies the Figure 6 step for every `(state, u ∈ z)` pair of the
     /// frontier, merging candidates into the next arena as they appear.
-    #[allow(clippy::too_many_arguments)]
     fn expand_serial(
         &self,
-        cost: &CostModel<'_>,
-        zobrist: &ZobristTable,
+        moves: &Moves,
         frontier: &StepArena,
         step: usize,
         step_started: Instant,
@@ -650,8 +650,7 @@ impl DpScheduler {
                     max_viable = max_viable_of(bound);
                 }
                 match self.transition(
-                    cost,
-                    zobrist,
+                    moves,
                     z,
                     scheduled,
                     &meta,
@@ -662,7 +661,7 @@ impl DpScheduler {
                 ) {
                     Ok(candidate) => {
                         let (cz, cs) = scratch.split_at(words);
-                        merge_candidate(&mut arena, &mut index, cz, cs, candidate);
+                        merge_candidate(&mut arena, &mut index, frontier, cz, cs, candidate);
                     }
                     Err(Pruned::Budget) => pruned += 1,
                     Err(Pruned::Bound) => bound_pruned += 1,
@@ -678,14 +677,13 @@ impl DpScheduler {
 
     /// Parallel expansion with a sharded merge: workers bucket candidates by
     /// signature hash, each shard is merged independently (a signature lands
-    /// in exactly one shard), and the shard arenas are stitched back in
-    /// first-occurrence transition order — the exact arena a serial sweep
-    /// would have produced.
-    #[allow(clippy::too_many_arguments)]
+    /// in exactly one shard), and the shard arenas are concatenated. The
+    /// merge keeps the same survivor per signature as a serial sweep because
+    /// tie-breaks are intrinsic ([`StepArena::wins_tie`]); only the arena
+    /// order differs, and no output depends on it.
     fn expand_parallel(
         &self,
-        cost: &CostModel<'_>,
-        zobrist: &ZobristTable,
+        moves: &Moves,
         frontier: &StepArena,
         step: usize,
         step_started: Instant,
@@ -727,8 +725,7 @@ impl DpScheduler {
                                     max_viable = max_viable_of(bound);
                                 }
                                 match self.transition(
-                                    cost,
-                                    zobrist,
+                                    moves,
                                     z,
                                     scheduled,
                                     &meta,
@@ -767,8 +764,7 @@ impl DpScheduler {
         }
         ctx.check()?;
 
-        // Phase 2: merge each shard independently, workers in chunk order so
-        // candidates are seen in global transition order within the shard.
+        // Phase 2: merge each shard independently.
         let shard_arenas: Vec<StepArena> = std::thread::scope(|scope| {
             let worker_blocks = &worker_blocks;
             let handles: Vec<_> = (0..shards)
@@ -781,7 +777,9 @@ impl DpScheduler {
                             let block = &blocks[shard];
                             for (i, &meta) in block.meta.iter().enumerate() {
                                 let (z, scheduled) = block.sets(i);
-                                merge_candidate(&mut arena, &mut index, z, scheduled, meta);
+                                merge_candidate(
+                                    &mut arena, &mut index, frontier, z, scheduled, meta,
+                                );
                             }
                         }
                         arena
@@ -791,25 +789,17 @@ impl DpScheduler {
             handles.into_iter().map(|h| h.join().expect("merger does not panic")).collect()
         });
 
-        // Phase 3: stitch the shards back in first-occurrence order, making
-        // the arena bit-identical to a serial expansion.
-        let mut ordered: Vec<(u64, u32, u32)> = Vec::new();
-        for (shard, arena) in shard_arenas.iter().enumerate() {
-            for (i, &key) in arena.first_key.iter().enumerate() {
-                ordered.push((key, shard as u32, i as u32));
-            }
-        }
-        ordered.sort_unstable();
+        // Phase 3: concatenate the shard arenas.
+        let states: usize = shard_arenas.iter().map(StepArena::len).sum();
         let mut merged = StepArena::new(words);
-        merged.pool.reserve(ordered.len() * 2 * words);
-        for &(key, shard, i) in &ordered {
-            let arena = &shard_arenas[shard as usize];
-            let (z, scheduled) = arena.sets(i as usize);
-            let at = merged.push(z, scheduled, arena.meta[i as usize]);
-            merged.first_key[at as usize] = key;
+        merged.pool.reserve(states * 2 * words);
+        merged.meta.reserve(states);
+        for arena in &shard_arenas {
+            merged.pool.extend_from_slice(&arena.pool);
+            merged.meta.extend_from_slice(&arena.meta);
         }
-        // High-water mark of live signature storage: the stitched arena is
-        // built while the frontier, the candidate blocks, and the shard
+        // High-water mark of live signature storage: the concatenated arena
+        // is built while the frontier, the candidate blocks, and the shard
         // arenas are all still allocated.
         let shard_bytes = shard_arenas.iter().map(StepArena::pool_bytes).sum::<u64>();
         stats.peak_memo_bytes = stats
@@ -820,19 +810,18 @@ impl DpScheduler {
         Ok(merged)
     }
 
-    /// Applies the Figure 6 step through the shared cost model: allocate `u`,
-    /// update the peak, free dead predecessors, build the successor signature
-    /// in `scratch` (`z'` then `scheduled'`), and fold `u` and the newly
-    /// ready successors into the Zobrist hash. Returns the prune kind when
-    /// the transition is discarded: running peaks are monotone along a
-    /// schedule path, so a state whose peak already exceeds the soft budget
-    /// (or provably loses to the incumbent bound's `max_viable` peak) can
-    /// never recover.
+    /// Applies the Figure 6 step through the shared transition table:
+    /// allocate `u`, update the peak, free dead predecessors, build the
+    /// successor signature in `scratch` (`z'` then `scheduled'`), and fold
+    /// `u` and the newly ready successors into the Zobrist hash. Returns the
+    /// prune kind when the transition is discarded: running peaks are
+    /// monotone along a schedule path, so a state whose peak already exceeds
+    /// the soft budget (or provably loses to the incumbent bound's
+    /// `max_viable` peak) can never recover.
     #[allow(clippy::too_many_arguments)]
     fn transition(
         &self,
-        cost: &CostModel<'_>,
-        zobrist: &ZobristTable,
+        moves: &Moves,
         z: &[u64],
         scheduled: &[u64],
         meta: &StateMeta,
@@ -841,7 +830,8 @@ impl DpScheduler {
         max_viable: u64,
         scratch: &mut [u64],
     ) -> Result<StateMeta, Pruned> {
-        let mu_after_alloc = meta.mu + cost.alloc_bytes_words(scheduled, u);
+        let table = &moves.table;
+        let mu_after_alloc = meta.mu + table.alloc_bytes(scheduled, u);
         let peak = meta.peak.max(mu_after_alloc);
         if let Some(budget) = self.config.budget {
             if peak > budget {
@@ -851,18 +841,22 @@ impl DpScheduler {
         if peak > max_viable {
             return Err(Pruned::Bound);
         }
-        let mu = mu_after_alloc - cost.free_bytes_words(scheduled, u);
+        let mu = mu_after_alloc - table.free_bytes(scheduled, u);
         let words = z.len();
         let (sz, ss) = scratch.split_at_mut(words);
         sz.copy_from_slice(z);
         ss.copy_from_slice(scheduled);
         wordset::remove(sz, u);
         wordset::insert(ss, u);
-        let mut hash = meta.hash ^ zobrist.key(u);
-        for &s in cost.graph().succs(u) {
-            if cost.ready_words(ss, s) {
+        let mut hash = meta.hash ^ moves.zobrist.key(u) ^ moves.auto_hash[u.index()];
+        let auto = table.auto_ready(u);
+        if auto != u32::MAX {
+            wordset::union_into(sz, table.mask(auto));
+        }
+        for &(s, off) in table.succ_edges(u) {
+            if table.mask_ready(ss, off) {
                 wordset::insert(sz, s);
-                hash ^= zobrist.key(s);
+                hash ^= moves.zobrist.key(s);
             }
         }
         Ok(StateMeta { hash, mu, peak, parent, node: u })
@@ -1010,8 +1004,9 @@ mod tests {
             let serial = DpScheduler::new().schedule(&g).unwrap();
             let parallel = DpScheduler::new().threads(4).schedule(&g).unwrap();
             assert_eq!(serial.schedule.peak_bytes, parallel.schedule.peak_bytes);
-            // The sharded merge re-orders by first occurrence, so parallel
-            // runs reconstruct the *same* order, not just the same peak.
+            // Equal-peak ties are broken by a key intrinsic to each
+            // candidate, so parallel runs reconstruct the *same* order, not
+            // just the same peak, whatever order the shards merge in.
             assert_eq!(serial.schedule.order, parallel.schedule.order);
         }
     }
@@ -1131,12 +1126,13 @@ mod tests {
     fn bound_pruning_never_flips_equal_peak_tie_breaks() {
         use crate::backend::{BoundHandle, CompileContext};
         use rand::SeedableRng;
-        // Regression: without the canonical frontier sort, pruning a
-        // signature's first (high-peak) arrival shifts the survivor's arena
-        // slot; downstream equal-peak merge ties are broken by transition
-        // order, so a bounded run would return a *different* equal-peak
-        // schedule than the unbounded one. These exact DAGs flipped before
-        // the sort was added.
+        // Regression: when equal-peak merge ties were broken by arrival
+        // order, pruning a signature's first (high-peak) arrival shifted the
+        // survivor's arena slot and flipped downstream ties, so a bounded
+        // run returned a *different* equal-peak schedule than the unbounded
+        // one. These exact DAGs flipped then. Ties now compare the intrinsic
+        // `(parent hash, parent z, node)` key, which pruning a losing state
+        // cannot change.
         let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
         for _ in 0..4 {
             let config = serenity_ir::random_dag::RandomDagConfig {
@@ -1185,13 +1181,63 @@ mod tests {
     }
 
     #[test]
+    fn equal_peak_survivor_is_independent_of_arrival_order() {
+        // Three parents, two sharing a hash so the tie falls through to
+        // their z words; every candidate reaches the same signature.
+        let mut frontier = StepArena::new(1);
+        for (z, hash) in [(0b0011u64, 7u64), (0b0110, 3), (0b0101, 3)] {
+            let meta =
+                StateMeta { hash, mu: 0, peak: 0, parent: ROOT, node: NodeId::from_index(0) };
+            frontier.push(&[z], &[0], meta);
+        }
+        let candidate = |parent: u32, node: usize, peak: u64| StateMeta {
+            hash: 99,
+            mu: 5,
+            peak,
+            parent,
+            node: NodeId::from_index(node),
+        };
+        let survivor = |candidates: &[StateMeta]| {
+            let mut forward = StepArena::new(1);
+            let mut index = SigIndex::with_capacity(1);
+            for &c in candidates {
+                merge_candidate(&mut forward, &mut index, &frontier, &[0b1000], &[0b0111], c);
+            }
+            let mut reversed = StepArena::new(1);
+            let mut index = SigIndex::with_capacity(1);
+            for &c in candidates.iter().rev() {
+                merge_candidate(&mut reversed, &mut index, &frontier, &[0b1000], &[0b0111], c);
+            }
+            assert_eq!((forward.len(), reversed.len()), (1, 1));
+            let (f, r) = (forward.meta[0], reversed.meta[0]);
+            assert_eq!((f.parent, f.node, f.peak), (r.parent, r.node, r.peak));
+            (f.parent, f.node.index(), f.peak)
+        };
+        let tied = [
+            candidate(0, 2, 10),
+            candidate(1, 2, 10),
+            candidate(2, 3, 10),
+            candidate(2, 0, 10),
+            candidate(1, 1, 10),
+        ];
+        // Smallest parent (hash, z) is parent 2 (hash 3, z 0b0101); then
+        // its smaller node.
+        assert_eq!(survivor(&tied), (2, 0, 10));
+        // A strictly lower peak beats every tie-break.
+        let mut lower = tied.to_vec();
+        lower.push(candidate(0, 3, 9));
+        assert_eq!(survivor(&lower), (0, 3, 9));
+    }
+
+    #[test]
     fn parallel_bound_pruning_matches_serial() {
         use crate::backend::{BoundHandle, CompileContext};
         // Six two-node braids (entry → aᵢ → bᵢ → exit) with skewed sizes: the
         // frontier reaches 3⁶ = 729 states (past PARALLEL_THRESHOLD) and
         // orders that delay freeing the big aᵢ overshoot µ*, so the sharded
         // path runs with live bound pruning. A static seed makes the prune
-        // decisions deterministic, so counts must match serial exactly.
+        // decisions deterministic, so counts must match serial exactly, at
+        // every thread count and with or without the bound.
         let mut g = Graph::new("braided");
         let entry = g.add_opaque("entry", 4, &[]).unwrap();
         let tails: Vec<_> = (0..6)
@@ -1204,15 +1250,22 @@ mod tests {
         g.mark_output(exit);
 
         let free = DpScheduler::new().schedule(&g).unwrap();
-        let ctx = CompileContext::unconstrained()
+        let bounded = CompileContext::unconstrained()
             .with_bound(Some(BoundHandle::seeded_weak(free.schedule.peak_bytes)));
-        let serial = DpScheduler::new().schedule_with_prefix_ctx(&g, &[], &ctx).unwrap();
-        let parallel =
-            DpScheduler::new().threads(4).schedule_with_prefix_ctx(&g, &[], &ctx).unwrap();
-        assert_eq!(serial.schedule.order, parallel.schedule.order);
-        assert_eq!(serial.schedule.peak_bytes, free.schedule.peak_bytes);
-        assert!(serial.stats.bound_pruned > 0, "skewed braids must trip branch-and-bound");
-        assert_eq!(serial.stats.bound_pruned, parallel.stats.bound_pruned);
+        for ctx in [CompileContext::unconstrained(), bounded] {
+            let serial = DpScheduler::new().schedule_with_prefix_ctx(&g, &[], &ctx).unwrap();
+            assert_eq!(serial.schedule, free.schedule);
+            assert_eq!(serial.stats.bound_pruned > 0, ctx.bound().is_some());
+            for threads in [2, 4, 8] {
+                let parallel =
+                    DpScheduler::new().threads(threads).schedule_with_prefix_ctx(&g, &[], &ctx);
+                let parallel = parallel.unwrap();
+                assert_eq!(serial.schedule, parallel.schedule, "{threads} threads");
+                assert_eq!(serial.stats.states, parallel.stats.states);
+                assert_eq!(serial.stats.transitions, parallel.stats.transitions);
+                assert_eq!(serial.stats.bound_pruned, parallel.stats.bound_pruned);
+            }
+        }
     }
 
     #[test]

@@ -150,10 +150,9 @@ impl SlabAnalysis {
 /// successor, and slab-member [`NodeSet`]s — so the hot-path questions
 /// ("are all of `u`'s predecessors scheduled?", "did `u`'s last consumer just
 /// run?", "is `u` the first member of its slab?") are answered with a few
-/// word-level mask operations instead of edge-list scans. The word-slice
-/// entry points ([`CostModel::alloc_bytes_words`] and friends) serve search
-/// engines that keep signatures in flat word pools; the [`NodeSet`] methods
-/// delegate to them.
+/// word-level mask operations instead of edge-list scans. Search engines
+/// that keep signatures in flat word pools use its flattened form,
+/// [`TransitionTable`].
 #[derive(Debug, Clone)]
 pub struct CostModel<'g> {
     graph: &'g Graph,
@@ -241,13 +240,7 @@ impl<'g> CostModel<'g> {
     /// precomputed predecessor mask.
     #[inline]
     pub fn ready(&self, scheduled: &NodeSet, u: NodeId) -> bool {
-        self.ready_words(scheduled.as_words(), u)
-    }
-
-    /// [`CostModel::ready`] on a raw word slice.
-    #[inline]
-    pub fn ready_words(&self, scheduled: &[u64], u: NodeId) -> bool {
-        wordset::is_subset(self.pred_masks[u.index()].as_words(), scheduled)
+        wordset::is_subset(self.pred_masks[u.index()].as_words(), scheduled.as_words())
     }
 
     /// Bytes allocated when `u` is scheduled, given the set of already
@@ -260,15 +253,9 @@ impl<'g> CostModel<'g> {
     /// * Every other node charges its own output bytes.
     #[inline]
     pub fn alloc_bytes(&self, scheduled: &NodeSet, u: NodeId) -> u64 {
-        self.alloc_bytes_words(scheduled.as_words(), u)
-    }
-
-    /// [`CostModel::alloc_bytes`] on a raw word slice.
-    #[inline]
-    pub fn alloc_bytes_words(&self, scheduled: &[u64], u: NodeId) -> u64 {
         if let Some(slab) = self.slabs.member_of(u) {
             let mask = self.member_masks[slab.index()].as_words();
-            let first = !wordset::intersects_excluding(mask, scheduled, u);
+            let first = !wordset::intersects_excluding(mask, scheduled.as_words(), u);
             return if first { self.out_bytes[slab.index()] } else { 0 };
         }
         if self.slabs.is_head(u) {
@@ -283,12 +270,6 @@ impl<'g> CostModel<'g> {
     /// immediately. `scheduled` must not yet include `u`.
     #[inline]
     pub fn free_bytes(&self, scheduled: &NodeSet, u: NodeId) -> u64 {
-        self.free_bytes_words(scheduled.as_words(), u)
-    }
-
-    /// [`CostModel::free_bytes`] on a raw word slice.
-    #[inline]
-    pub fn free_bytes_words(&self, scheduled: &[u64], u: NodeId) -> u64 {
         let mut freed = self.self_free[u.index()];
         for &p in self.graph.preds(u) {
             let bytes = self.releasable[p.index()];
@@ -297,7 +278,7 @@ impl<'g> CostModel<'g> {
                 continue;
             }
             let consumers = self.succ_masks[p.index()].as_words();
-            if wordset::is_subset_with(consumers, scheduled, u) {
+            if wordset::is_subset_with(consumers, scheduled.as_words(), u) {
                 freed += bytes;
             }
         }
@@ -381,7 +362,7 @@ impl<'g> CostModel<'g> {
 /// predecessor mask), so a transition touches a handful of contiguous
 /// arrays.
 ///
-/// Semantics are identical to the [`CostModel`] word entry points —
+/// Semantics are identical to the [`CostModel`] methods —
 /// property-checked in the test suite; the table is derived data, valid as
 /// long as the graph it was built from is unchanged.
 #[derive(Debug, Clone)]
@@ -493,7 +474,8 @@ impl TransitionTable {
         &self.mask_pool[off as usize..off as usize + self.words]
     }
 
-    /// [`CostModel::alloc_bytes_words`] against the flattened data.
+    /// [`CostModel::alloc_bytes`] on a raw word slice, against the
+    /// flattened data.
     #[inline]
     pub fn alloc_bytes(&self, scheduled: &[u64], u: NodeId) -> u64 {
         let (off, bytes) = self.alloc[u.index()];
@@ -507,8 +489,8 @@ impl TransitionTable {
         }
     }
 
-    /// [`CostModel::free_bytes_words`] against the flattened data
-    /// (`scheduled` must not yet include `u`).
+    /// [`CostModel::free_bytes`] on a raw word slice, against the flattened
+    /// data (`scheduled` must not yet include `u`).
     #[inline]
     pub fn free_bytes(&self, scheduled: &[u64], u: NodeId) -> u64 {
         let mut freed = self.self_free[u.index()];

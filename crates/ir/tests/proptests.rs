@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rand::Rng;
 use serenity_ir::random_dag::{random_dag, RandomDagConfig};
+use serenity_ir::set::wordset;
 use serenity_ir::{cuts, mem, topo, DType, Graph, NodeId, NodeSet, Op, TensorShape, ZobristTable};
 
 prop_compose! {
@@ -104,6 +105,44 @@ proptest! {
             }
             // And the accumulated footprint agrees with the profiler.
             prop_assert_eq!(mu, mem::profile_schedule(&graph, &order).unwrap().final_bytes);
+        }
+    }
+
+    #[test]
+    fn transition_table_matches_scan_path(
+        graph in prop_oneof![arb_graph(), arb_slab_graph()],
+        seed in any::<u64>(),
+    ) {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let cost = mem::CostModel::new(&graph);
+        let table = cost.transition_table();
+        let order = topo::random(&graph, &mut rng);
+        let mut scheduled = NodeSet::with_capacity(graph.len());
+        let mut words = vec![0u64; table.words()];
+        for &u in &order {
+            prop_assert_eq!(table.alloc_bytes(&words, u), cost.alloc_bytes_scan(&scheduled, u));
+            prop_assert_eq!(table.free_bytes(&words, u), cost.free_bytes_scan(&scheduled, u));
+            scheduled.insert(u);
+            wordset::insert(&mut words, u);
+            // The auto-ready mask plus the tested edges are exactly the
+            // successors that scheduling `u` makes ready.
+            let mut ready = NodeSet::with_capacity(graph.len());
+            let auto = table.auto_ready(u);
+            if auto != u32::MAX {
+                ready.extend(wordset::iter(table.mask(auto)));
+            }
+            for &(s, off) in table.succ_edges(u) {
+                if table.mask_ready(&words, off) {
+                    ready.insert(s);
+                }
+            }
+            let expected: NodeSet = graph
+                .succs(u)
+                .iter()
+                .copied()
+                .filter(|&s| graph.preds(s).iter().all(|&p| scheduled.contains(p)))
+                .collect();
+            prop_assert_eq!(ready.iter().collect::<Vec<_>>(), expected.iter().collect::<Vec<_>>());
         }
     }
 
