@@ -408,7 +408,7 @@ pub enum CompileEvent {
         peak_bytes: u64,
     },
     /// A divide-and-conquer segment schedule was replayed from the
-    /// [`ScheduleMemo`](crate::memo::ScheduleMemo) instead of re-searched.
+    /// request's in-memory schedule memo instead of re-searched.
     SegmentMemoHit {
         /// Segment index in series order.
         index: usize,
@@ -549,9 +549,9 @@ pub struct CompileOptions {
     /// Structured event receiver (`None` drops events).
     pub events: Option<EventSink>,
     /// Process-wide compile cache shared across requests (`None` disables
-    /// cross-request reuse). Consulted by the compile *drivers* —
-    /// [`Serenity`](crate::pipeline::Serenity) and
-    /// [`DivideAndConquer`](crate::divide::DivideAndConquer) — not by raw
+    /// cross-request reuse). Read and written only by
+    /// [`DivideAndConquer`](crate::divide::DivideAndConquer) (which the
+    /// pipeline and the rewrite search schedule through) — not by raw
     /// backends, so `backend.schedule(graph, &ctx)` alone never caches.
     /// For deterministic backends, cached results are bit-identical to
     /// uncached ones; see the [`crate::cache`] module docs for the caveat

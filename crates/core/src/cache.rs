@@ -4,22 +4,32 @@
 //! The paper's premise is that memory-optimal schedules are *expensive to
 //! find* (the DP/beam searches of §3.1–3.2) but *cheap to replay* — and
 //! networks from one NAS family share cells and whole segments, so most of
-//! the search work recurs across compile requests. A per-search
-//! [`ScheduleMemo`](crate::memo::ScheduleMemo) already exploits recurrence
-//! *within* one rewrite↔schedule loop; [`CompileCache`] promotes the same
-//! mechanism to the whole process: a thread-safe, sharded, byte-budgeted LRU
-//! keyed by
+//! the search work recurs across compile requests. Within one request, a
+//! schedule memo (an in-memory overlay private to the crate) already replays
+//! the segments that recur between rewrite↔schedule iterations;
+//! [`CompileCache`] keeps segment schedules for the whole process: a
+//! thread-safe, sharded, byte-budgeted LRU keyed by
 //!
 //! * the **backend identity** —
 //!   [`config_fingerprint`](crate::backend::SchedulerBackend::config_fingerprint),
 //!   which folds the backend name and every result-affecting configuration
 //!   knob into one canonical hash, so `dp` and `beam` (or two
 //!   differently-budgeted `dp`s) can never replay each other's schedules,
+//!   XOR-salted with a traffic-steering capacity target
+//!   ([`CapacityTarget::cache_salt`](crate::capacity::CapacityTarget::cache_salt)),
 //!   and
 //! * the **graph structure** — [`serenity_ir::fingerprint::fingerprint`],
 //!   the same name-insensitive canonical hash the schedule memo uses, plus
 //!   the pinned boundary prefix a divide-and-conquer segment was scheduled
 //!   under.
+//!
+//! [`DivideAndConquer`](crate::divide::DivideAndConquer) is the only code
+//! that forms that key and reads or writes the cache: per segment it looks
+//! up the request's memo first, then the cache, and backfills a cache hit
+//! into the memo. A plain compile writes its misses through at once; the
+//! rewrite search keeps its candidates' misses in its run memo and
+//! publishes that memo once, when the search ends, so concurrently scored
+//! candidates never write the shared cache.
 //!
 //! Hits are exact, not probabilistic: both hashes can collide, so every hit
 //! is confirmed with [`serenity_ir::fingerprint::structural_eq`] and an
@@ -206,8 +216,9 @@ struct CacheEntry {
     backend_key: u64,
     /// The graph the schedule belongs to, kept for exact hit confirmation.
     graph: Graph,
-    /// The pinned prefix the schedule was produced under (see
-    /// [`crate::memo::ScheduleMemo`] for why it is part of the identity).
+    /// The pinned prefix the schedule was produced under: a schedule
+    /// computed unpinned need not lead with the boundary placeholder, so it
+    /// must never replay into a pinned segment (or vice versa).
     prefix: Vec<NodeId>,
     order: Vec<NodeId>,
     peak_bytes: u64,

@@ -16,47 +16,13 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use serenity_ir::cuts::{self, PartitionSummary};
+use serenity_ir::fingerprint::fingerprint;
 use serenity_ir::{Graph, NodeId};
 
-use crate::backend::{AdaptiveBackend, CompileContext, CompileEvent, DpBackend, SchedulerBackend};
-use crate::budget::BudgetConfig;
-use crate::memo::{MemoSource, ScheduleMemo};
+use crate::backend::{AdaptiveBackend, CompileContext, CompileEvent, SchedulerBackend};
+use crate::cache::CompileCache;
+use crate::memo::ScheduleMemo;
 use crate::{Schedule, ScheduleError, ScheduleStats};
-
-/// How each segment is scheduled.
-///
-/// Deprecated closed enum, superseded by the open
-/// [`SchedulerBackend`] trait: any backend can now schedule segments via
-/// [`DivideAndConquer::backend`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use DivideAndConquer::backend with any SchedulerBackend instead"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SegmentScheduler {
-    /// Plain dynamic programming (optionally budget-pruned) — Algorithm 1.
-    Dp(crate::dp::DpConfig),
-    /// Dynamic programming driven by adaptive soft budgeting — Algorithm 2.
-    Adaptive(BudgetConfig),
-}
-
-#[allow(deprecated)]
-impl Default for SegmentScheduler {
-    fn default() -> Self {
-        SegmentScheduler::Adaptive(BudgetConfig::default())
-    }
-}
-
-#[allow(deprecated)]
-impl SegmentScheduler {
-    /// Converts the legacy enum into the equivalent backend.
-    pub fn into_backend(self) -> Arc<dyn SchedulerBackend> {
-        match self {
-            SegmentScheduler::Dp(config) => Arc::new(DpBackend::with_config(config)),
-            SegmentScheduler::Adaptive(config) => Arc::new(AdaptiveBackend::with_config(config)),
-        }
-    }
-}
 
 /// Per-segment scheduling record.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -143,16 +109,39 @@ impl DivideAndConquer {
     /// return bit-identical schedules to memo-free runs of the same backend;
     /// sharing one memo across *different* backend configurations is a
     /// caller bug (the memo cannot tell their schedules apart).
-    pub fn memo(mut self, memo: Arc<ScheduleMemo>) -> Self {
+    ///
+    /// Misses stay in the installed memo: its owner publishes it to the
+    /// compile cache once ([`DivideAndConquer::publish`]).
+    pub(crate) fn memo(mut self, memo: Arc<ScheduleMemo>) -> Self {
         self.memo = Some(memo);
         self
     }
 
-    /// Overrides how segments are scheduled (legacy enum).
-    #[deprecated(since = "0.1.0", note = "use DivideAndConquer::backend instead")]
-    #[allow(deprecated)]
-    pub fn segment_scheduler(self, scheduler: SegmentScheduler) -> Self {
-        self.backend(scheduler.into_backend())
+    /// The context's compile cache and the key this backend's schedules are
+    /// stored under in it: the backend's
+    /// [`config_fingerprint`](SchedulerBackend::config_fingerprint), salted
+    /// with the capacity target ([`CapacityTarget::cache_salt`], zero unless
+    /// the target steers the search — a traffic-steering backend can pick
+    /// different winners at different capacities, so those schedules must
+    /// never replay each other). The one place a schedule key is formed.
+    ///
+    /// [`CapacityTarget::cache_salt`]: crate::capacity::CapacityTarget::cache_salt
+    fn cache<'c>(&self, ctx: &'c CompileContext) -> Option<(&'c CompileCache, u64)> {
+        let cache = ctx.options().cache.as_deref()?;
+        let salt = ctx.capacity().map_or(0, |target| target.cache_salt());
+        Some((cache, self.backend.config_fingerprint() ^ salt))
+    }
+
+    /// Writes every local entry of `memo` (a rewrite search's run memo) to
+    /// the context's compile cache, if it has one — the search's single
+    /// publication, made after its last iteration so scoring layers never
+    /// write the shared cache.
+    pub(crate) fn publish(&self, memo: ScheduleMemo, ctx: &CompileContext) {
+        if let Some((cache, backend_key)) = self.cache(ctx) {
+            for (key, entry) in memo.into_entries() {
+                cache.insert(backend_key, key, &entry.graph, &entry.prefix, &entry.schedule);
+            }
+        }
     }
 
     /// Schedules `graph` by partitioning at its cut nodes.
@@ -170,6 +159,14 @@ impl DivideAndConquer {
     /// [`CompileContext`]: the context is threaded into every segment run
     /// and a [`CompileEvent::SegmentScheduled`] is emitted per segment.
     ///
+    /// When the context carries a
+    /// [`compile_cache`](crate::backend::CompileOptions::compile_cache),
+    /// each segment is looked up in the memo first and then in the cache; a
+    /// cache hit is backfilled into the memo, so structurally repeated
+    /// segments pay the shared-shard lookup once. Without an installed memo
+    /// the run uses a memo of its own and writes its misses through to the
+    /// cache.
+    ///
     /// # Errors
     ///
     /// As [`DivideAndConquer::schedule`], plus the context aborts
@@ -185,17 +182,12 @@ impl DivideAndConquer {
         let mut reports = Vec::with_capacity(partition.segments.len());
         let mut total_stats = ScheduleStats::default();
 
-        // The memo consulted per segment: an explicitly installed one wins;
-        // otherwise a request-local cache-backed memo is derived when the
-        // context carries a compile cache, so
-        // [`CompileOptions::compile_cache`](crate::backend::CompileOptions::compile_cache)
-        // works for direct divide-and-conquer calls too (not only through
-        // the pipeline).
-        let memo = self.memo.clone().or_else(|| {
-            ctx.options().cache.as_ref().map(|cache| {
-                Arc::new(ScheduleMemo::backed(Arc::clone(cache), self.backend.config_fingerprint()))
-            })
-        });
+        let cache = self.cache(ctx);
+        // Without an installed memo, a call with a cache uses a memo of its
+        // own and writes its misses through to the cache.
+        let write_through = cache.filter(|_| self.memo.is_none());
+        let own_memo = write_through.map(|_| ScheduleMemo::new());
+        let memo = self.memo.as_deref().or(own_memo.as_ref());
 
         for (index, segment) in partition.segments.iter().enumerate() {
             ctx.check()?;
@@ -204,46 +196,32 @@ impl DivideAndConquer {
             // The pinned prefix is part of the memo identity: an unpinned
             // first segment can be structurally identical to a pinned later
             // one, but their schedules are not interchangeable.
-            let memo_key = memo.as_ref().map(|m| (m, ScheduleMemo::key(&segment.graph)));
-            if let Some((memo, key)) = &memo_key {
-                if let Some((schedule, source)) = memo.lookup_traced(*key, &segment.graph, &pinned)
-                {
+            let memo_key = memo.map(|m| (m, fingerprint(&segment.graph)));
+            if let Some((memo, key)) = memo_key {
+                let replay = match memo.lookup(key, &segment.graph, &pinned) {
+                    Some(schedule) => Some((schedule, false)),
+                    None => cache.and_then(|(cache, backend_key)| {
+                        let schedule = cache.lookup(backend_key, key, &segment.graph, &pinned)?;
+                        memo.insert(key, &segment.graph, &pinned, &schedule);
+                        Some((schedule, true))
+                    }),
+                };
+                if let Some((schedule, from_cache)) = replay {
                     // Replay: the backend is deterministic, so this is the
                     // schedule a fresh run would have produced — whether it
                     // came from this request's memo or from the process-wide
                     // compile cache (a cross-request hit).
-                    let stats = match source {
-                        MemoSource::Memo => ScheduleStats {
-                            memo_hits: 1,
-                            steps: schedule.len(),
-                            ..Default::default()
-                        },
-                        MemoSource::Cache => ScheduleStats {
-                            cache_hits: 1,
-                            steps: schedule.len(),
-                            ..Default::default()
-                        },
-                    };
-                    total_stats.absorb(&stats);
-                    ctx.emit(match source {
-                        MemoSource::Memo => CompileEvent::SegmentMemoHit {
-                            index,
-                            nodes,
-                            peak_bytes: schedule.peak_bytes,
-                        },
-                        MemoSource::Cache => CompileEvent::SegmentCacheHit {
-                            index,
-                            nodes,
-                            peak_bytes: schedule.peak_bytes,
-                        },
-                    });
-                    if source == MemoSource::Cache {
-                        // Backfill the replayed schedule into the request's
-                        // memo so repeated structures pay the shared-shard
-                        // lookup (lock + structural confirm) only once.
-                        memo.insert_local(*key, &segment.graph, &pinned, &schedule);
+                    let peak_bytes = schedule.peak_bytes;
+                    let mut stats = ScheduleStats { steps: schedule.len(), ..Default::default() };
+                    if from_cache {
+                        stats.cache_hits = 1;
+                        ctx.emit(CompileEvent::SegmentCacheHit { index, nodes, peak_bytes });
+                    } else {
+                        stats.memo_hits = 1;
+                        ctx.emit(CompileEvent::SegmentMemoHit { index, nodes, peak_bytes });
                     }
-                    reports.push(SegmentReport { nodes, peak_bytes: schedule.peak_bytes, stats });
+                    total_stats.absorb(&stats);
+                    reports.push(SegmentReport { nodes, peak_bytes, stats });
                     locals.push(schedule.order);
                     continue;
                 }
@@ -267,10 +245,13 @@ impl DivideAndConquer {
                 }
                 Err(other) => return Err(other),
             };
-            if let Some((memo, key)) = &memo_key {
+            if let Some((memo, key)) = memo_key {
                 stats.memo_misses += 1;
-                stats.cache_misses += u64::from(memo.is_cache_backed());
-                memo.insert(*key, &segment.graph, &pinned, &schedule);
+                stats.cache_misses += u64::from(cache.is_some());
+                memo.insert(key, &segment.graph, &pinned, &schedule);
+                if let Some((cache, backend_key)) = write_through {
+                    cache.insert(backend_key, key, &segment.graph, &pinned, &schedule);
+                }
             }
             total_stats.absorb(&stats);
             ctx.emit(CompileEvent::SegmentScheduled {
@@ -303,7 +284,7 @@ impl DivideAndConquer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BeamBackend, CancelToken, CompileOptions, GreedyBackend};
+    use crate::backend::{BeamBackend, CancelToken, CompileOptions, DpBackend, GreedyBackend};
     use crate::dp::DpScheduler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -393,18 +374,6 @@ mod tests {
         let ctx = CompileContext::new(CompileOptions::new().cancel_token(token));
         let err = DivideAndConquer::new().schedule_with_ctx(&g, &ctx).unwrap_err();
         assert!(matches!(err, ScheduleError::Cancelled));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_segment_scheduler_shim_still_works() {
-        let mut rng = StdRng::seed_from_u64(27);
-        let g = hourglass_stack(3, 4, 60, &mut rng);
-        let outcome = DivideAndConquer::new()
-            .segment_scheduler(SegmentScheduler::Dp(Default::default()))
-            .schedule(&g)
-            .unwrap();
-        assert_eq!(outcome.schedule.order.len(), g.len());
     }
 
     #[test]

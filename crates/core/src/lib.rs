@@ -40,18 +40,18 @@
 //!   apply-as-delta) and are driven either blindly to fixpoint
 //!   ([`rewrite::Rewriter`]) or by the cost-guided iterative search
 //!   ([`rewrite::RewriteSearch`]), which schedules every candidate and keeps
-//!   it only when the peak strictly drops.
-//! * [`memo`] — [`ScheduleMemo`](memo::ScheduleMemo): a canonical-fingerprint
-//!   → schedule cache ([`serenity_ir::fingerprint`]) replaying
-//!   divide-and-conquer segments that are structurally unchanged between
-//!   rewrite-loop iterations.
-//! * [`cache`] — [`CompileCache`]: the process-wide
-//!   promotion of the same mechanism — a thread-safe, sharded, byte-budgeted
-//!   LRU keyed by (backend
+//!   it only when the peak strictly drops. Segments that are structurally
+//!   unchanged between the search's iterations replay from the run's
+//!   in-request schedule memo (a crate-private overlay keyed by
+//!   [`serenity_ir::fingerprint`]).
+//! * [`cache`] — [`CompileCache`]: the process-wide store that amortizes
+//!   segment schedules *across compile requests* and across networks
+//!   sharing cells — a thread-safe, sharded, byte-budgeted LRU keyed by
+//!   (backend
 //!   [`config_fingerprint`](backend::SchedulerBackend::config_fingerprint),
-//!   graph fingerprint) that amortizes schedules *across compile requests*
-//!   and across networks sharing cells, with warm results bit-identical to
-//!   cold ones.
+//!   graph fingerprint, pinned prefix), with warm results bit-identical to
+//!   cold ones. Divide-and-conquer is its only reader and writer: it
+//!   consults the request's memo first, then the cache.
 //! * [`pipeline::Serenity`] — the end-to-end flow of Figure 4, run as a
 //!   feedback loop rather than one pass: *(rewrite ⇄ schedule)* until a
 //!   fixed point, then partition → full-backend scheduling of the winner →
@@ -114,7 +114,7 @@ pub mod divide;
 pub mod dp;
 mod error;
 pub mod fault;
-pub mod memo;
+mod memo;
 pub mod pipeline;
 pub mod registry;
 pub mod rewrite;

@@ -1,5 +1,5 @@
-//! The schedule memo: canonical-fingerprint → schedule cache shared across
-//! rewrite-loop iterations.
+//! The schedule memo: a compile request's in-memory overlay of segment
+//! schedules, shared across rewrite-loop iterations.
 //!
 //! The iterative rewrite↔schedule search (see [`crate::rewrite::RewriteSearch`])
 //! re-schedules a candidate graph after every identity rewrite, but a rewrite
@@ -13,58 +13,49 @@
 //! exact match of the pinned boundary prefix before the stored schedule is
 //! replayed — a collision degrades to a miss, never to a wrong schedule, and
 //! a schedule computed unpinned is never replayed into a pinned segment
-//! (whose order must lead with the boundary placeholder) or vice versa. Replay is also deterministic: all backends are
-//! deterministic functions of the (structural) graph, so a replayed schedule
-//! is byte-identical to what a fresh search of the same backend would return,
-//! and memoized runs stay bit-identical to memo-free runs.
+//! (whose order must lead with the boundary placeholder) or vice versa.
+//! Replay is also deterministic: all backends are deterministic functions of
+//! the (structural) graph, so a replayed schedule is byte-identical to what a
+//! fresh search of the same backend would return, and memoized runs stay
+//! bit-identical to memo-free runs.
 //!
 //! Entries are keyed by graph structure only, so a memo is only coherent for
 //! a single backend configuration. [`RewriteSearch`](crate::rewrite::RewriteSearch)
 //! creates one memo per run and never shares it across backends.
 //!
-//! A memo can additionally be **backed** by the process-wide
-//! [`CompileCache`] ([`ScheduleMemo::backed`]): lookups that miss every
-//! layer fall through to the cache under the owning backend's
-//! [`config_fingerprint`](crate::backend::SchedulerBackend::config_fingerprint),
-//! and inserts are written through, so schedules survive the memo and are
-//! replayed by *later compile requests* — including requests for different
-//! networks that share cells. Because cache hits are confirmed exactly and
-//! backends are deterministic, a cache-backed run stays bit-identical to a
-//! cache-free run; only its wall time and hit counters differ.
+//! The memo knows nothing of the process-wide
+//! [`CompileCache`](crate::cache::CompileCache): divide-and-conquer is the
+//! only code that reads or writes the cache, consulting it after the memo
+//! and backfilling its hits into the memo (see [`crate::divide`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serenity_ir::fingerprint::{fingerprint, structural_eq};
+use serenity_ir::fingerprint::structural_eq;
 use serenity_ir::fxhash::FxHashMap;
 use serenity_ir::{Graph, NodeId};
 
-use crate::cache::CompileCache;
 use crate::Schedule;
 
-/// Where a [`ScheduleMemo::lookup_traced`] hit was resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoSource {
-    /// This memo or one of its parent layers (an in-request hit).
-    Memo,
-    /// The backing [`CompileCache`] (a cross-request hit).
-    Cache,
-}
-
-struct MemoEntry {
+/// One memoized schedule with the identity it was produced under.
+pub(crate) struct MemoEntry {
     /// The graph the schedule belongs to, kept for exact hit confirmation.
-    graph: Graph,
+    pub(crate) graph: Graph,
     /// The pinned prefix the schedule was produced under. Part of the
     /// entry's identity: a schedule computed unpinned need not start with
     /// the boundary placeholder, so replaying it into a pinned segment
     /// would be rejected by `Partition::combine` (and a pin-constrained
     /// schedule replayed unpinned could be needlessly suboptimal).
-    prefix: Vec<NodeId>,
-    order: Vec<NodeId>,
-    peak_bytes: u64,
+    pub(crate) prefix: Vec<NodeId>,
+    pub(crate) schedule: Schedule,
 }
 
-/// A thread-safe fingerprint → schedule cache (see the module docs).
+impl MemoEntry {
+    fn matches(&self, graph: &Graph, prefix: &[NodeId]) -> bool {
+        self.prefix == prefix && structural_eq(&self.graph, graph)
+    }
+}
+
+/// A thread-safe fingerprint → schedule map (see the module docs).
 ///
 /// A memo can be **layered** over a frozen parent
 /// ([`ScheduleMemo::layered`]): lookups fall through to the parent, inserts
@@ -75,29 +66,14 @@ struct MemoEntry {
 /// are then folded back deterministically ([`ScheduleMemo::absorb`]) in
 /// candidate order.
 #[derive(Default)]
-pub struct ScheduleMemo {
+pub(crate) struct ScheduleMemo {
     entries: Mutex<FxHashMap<u64, Vec<MemoEntry>>>,
     parent: Option<Arc<ScheduleMemo>>,
-    /// Process-wide fall-through and write-through target, with the
-    /// backend identity its entries are keyed under.
-    backing: Option<(Arc<CompileCache>, u64)>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl std::fmt::Debug for ScheduleMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScheduleMemo")
-            .field("len", &self.len())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .finish()
-    }
 }
 
 impl ScheduleMemo {
     /// An empty memo.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ScheduleMemo::default()
     }
 
@@ -105,189 +81,63 @@ impl ScheduleMemo {
     /// and fall through to the parent (and its ancestors); inserts stay
     /// local. The parent must not be mutated while the layer is in use if
     /// deterministic counters are required.
-    pub fn layered(parent: Arc<ScheduleMemo>) -> Self {
+    pub(crate) fn layered(parent: Arc<ScheduleMemo>) -> Self {
         ScheduleMemo { parent: Some(parent), ..ScheduleMemo::default() }
     }
 
-    /// An empty memo backed by the process-wide `cache` under
-    /// `backend_key` (the owning backend's
-    /// [`config_fingerprint`](crate::backend::SchedulerBackend::config_fingerprint)):
-    /// lookups missing every layer fall through to the cache, and inserts
-    /// (including absorbed layers) are written through, publishing
-    /// schedules to later compile requests.
-    pub fn backed(cache: Arc<CompileCache>, backend_key: u64) -> Self {
-        ScheduleMemo { backing: Some((cache, backend_key)), ..ScheduleMemo::default() }
+    /// Returns the memoized schedule of a graph structurally equal to
+    /// `graph` that was produced under the same pinned `prefix`, if one was
+    /// inserted here or in a parent layer. `key` is the graph's
+    /// [`fingerprint`](serenity_ir::fingerprint::fingerprint).
+    pub(crate) fn lookup(&self, key: u64, graph: &Graph, prefix: &[NodeId]) -> Option<Schedule> {
+        let local = self.entries.lock().expect("memo lock").get(&key).and_then(|bucket| {
+            bucket.iter().find(|e| e.matches(graph, prefix)).map(|e| e.schedule.clone())
+        });
+        local.or_else(|| self.parent.as_ref().and_then(|p| p.lookup(key, graph, prefix)))
     }
 
-    /// Whether this memo (or any ancestor layer) falls through to a
-    /// [`CompileCache`].
-    pub fn is_cache_backed(&self) -> bool {
-        self.backing.is_some() || self.parent.as_ref().is_some_and(|p| p.is_cache_backed())
-    }
-
-    /// Whether an entry for (`key`, `graph`, `prefix`) exists here, in any
-    /// ancestor, or in the backing cache — without touching the memo
-    /// hit/miss counters (the cache still counts its own).
-    fn find(&self, key: u64, graph: &Graph, prefix: &[NodeId]) -> Option<(Schedule, MemoSource)> {
-        let local = {
-            let entries = self.entries.lock().expect("memo lock");
-            entries.get(&key).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|e| e.prefix == prefix && structural_eq(&e.graph, graph))
-                    .map(|e| Schedule { order: e.order.clone(), peak_bytes: e.peak_bytes })
-            })
-        };
-        if let Some(schedule) = local {
-            return Some((schedule, MemoSource::Memo));
+    /// Stores `schedule` (produced under pinned `prefix`) for `graph` under
+    /// `key`. A structurally equal entry with the same prefix already
+    /// present is kept (first write wins — backends are deterministic, so
+    /// the schedules are identical anyway).
+    pub(crate) fn insert(&self, key: u64, graph: &Graph, prefix: &[NodeId], schedule: &Schedule) {
+        let mut entries = self.entries.lock().expect("memo lock");
+        let bucket = entries.entry(key).or_default();
+        if !bucket.iter().any(|e| e.matches(graph, prefix)) {
+            bucket.push(MemoEntry {
+                graph: graph.clone(),
+                prefix: prefix.to_vec(),
+                schedule: schedule.clone(),
+            });
         }
-        if let Some(found) = self.parent.as_ref().and_then(|p| p.find(key, graph, prefix)) {
-            return Some(found);
-        }
-        self.backing
-            .as_ref()
-            .and_then(|(cache, backend_key)| cache.lookup(*backend_key, key, graph, prefix))
-            .map(|schedule| (schedule, MemoSource::Cache))
     }
 
     /// Folds another memo's local entries into this one (first write wins,
     /// exactly like [`ScheduleMemo::insert`]). Used to merge per-candidate
     /// layers back into the shared memo after an iteration of parallel
     /// scoring; call it in a deterministic order.
-    pub fn absorb(&self, overlay: ScheduleMemo) {
-        let drained = overlay.entries.into_inner().expect("memo lock");
+    pub(crate) fn absorb(&self, overlay: ScheduleMemo) {
         let mut entries = self.entries.lock().expect("memo lock");
-        for (key, bucket) in drained {
-            for entry in bucket {
-                let slot = entries.entry(key).or_default();
-                if !slot
-                    .iter()
-                    .any(|e| e.prefix == entry.prefix && structural_eq(&e.graph, &entry.graph))
-                {
-                    if let Some((cache, backend_key)) = &self.backing {
-                        cache.insert(
-                            *backend_key,
-                            key,
-                            &entry.graph,
-                            &entry.prefix,
-                            &Schedule { order: entry.order.clone(), peak_bytes: entry.peak_bytes },
-                        );
-                    }
-                    slot.push(entry);
-                }
+        for (key, entry) in overlay.into_entries() {
+            let bucket = entries.entry(key).or_default();
+            if !bucket.iter().any(|e| e.matches(&entry.graph, &entry.prefix)) {
+                bucket.push(entry);
             }
         }
     }
 
-    /// The canonical key of `graph` (compute once, pass to both
-    /// [`ScheduleMemo::lookup`] and [`ScheduleMemo::insert`]).
-    pub fn key(graph: &Graph) -> u64 {
-        fingerprint(graph)
-    }
-
-    /// Returns the memoized schedule of a graph structurally equal to
-    /// `graph` that was produced under the same pinned `prefix`, if one was
-    /// inserted here, in a parent layer, or in the backing cache. Counts a
-    /// hit or a miss (on this memo only — parent counters are untouched).
-    pub fn lookup(&self, key: u64, graph: &Graph, prefix: &[NodeId]) -> Option<Schedule> {
-        self.lookup_traced(key, graph, prefix).map(|(schedule, _)| schedule)
-    }
-
-    /// Like [`ScheduleMemo::lookup`], but also reports whether the hit was
-    /// resolved in-request ([`MemoSource::Memo`]) or by the process-wide
-    /// backing cache ([`MemoSource::Cache`]), so callers can attribute it
-    /// to the right counter and event.
-    pub fn lookup_traced(
-        &self,
-        key: u64,
-        graph: &Graph,
-        prefix: &[NodeId],
-    ) -> Option<(Schedule, MemoSource)> {
-        match self.find(key, graph, prefix) {
-            Some(found) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(found)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores `schedule` (produced under pinned `prefix`) for `graph` under
-    /// `key`, writing through to the backing cache if one is installed. A
-    /// structurally equal entry with the same prefix already present is
-    /// kept (first write wins — backends are deterministic, so the
-    /// schedules are identical anyway).
-    pub fn insert(&self, key: u64, graph: &Graph, prefix: &[NodeId], schedule: &Schedule) {
-        self.insert_impl(key, graph, prefix, schedule, true);
-    }
-
-    /// Stores a schedule locally *without* writing through to the backing
-    /// cache. Used to backfill a cross-request cache hit into the
-    /// request's own memo, so N structurally identical segments pay the
-    /// shared-shard lookup once instead of N times.
-    pub(crate) fn insert_local(
-        &self,
-        key: u64,
-        graph: &Graph,
-        prefix: &[NodeId],
-        schedule: &Schedule,
-    ) {
-        self.insert_impl(key, graph, prefix, schedule, false);
-    }
-
-    fn insert_impl(
-        &self,
-        key: u64,
-        graph: &Graph,
-        prefix: &[NodeId],
-        schedule: &Schedule,
-        write_through: bool,
-    ) {
-        let mut entries = self.entries.lock().expect("memo lock");
-        let bucket = entries.entry(key).or_default();
-        if bucket.iter().any(|e| e.prefix == prefix && structural_eq(&e.graph, graph)) {
-            return;
-        }
-        if write_through {
-            if let Some((cache, backend_key)) = &self.backing {
-                cache.insert(*backend_key, key, graph, prefix, schedule);
-            }
-        }
-        bucket.push(MemoEntry {
-            graph: graph.clone(),
-            prefix: prefix.to_vec(),
-            order: schedule.order.clone(),
-            peak_bytes: schedule.peak_bytes,
-        });
-    }
-
-    /// Number of locally memoized schedules (excludes parent layers).
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("memo lock").values().map(Vec::len).sum()
-    }
-
-    /// Whether the memo holds no schedules.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups that replayed a stored schedule.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing (including collision-confirm failures).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    /// Consumes the memo, yielding its local entries (parent layers
+    /// excluded) with their keys.
+    pub(crate) fn into_entries(self) -> impl Iterator<Item = (u64, MemoEntry)> {
+        let entries = self.entries.into_inner().expect("memo lock");
+        entries.into_iter().flat_map(|(key, bucket)| bucket.into_iter().map(move |e| (key, e)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serenity_ir::fingerprint::fingerprint;
     use serenity_ir::topo;
 
     fn chain(name: &str, bytes: u64) -> Graph {
@@ -298,20 +148,22 @@ mod tests {
         g
     }
 
+    fn len(memo: ScheduleMemo) -> usize {
+        memo.into_entries().count()
+    }
+
     #[test]
     fn hit_replays_across_renamed_twins() {
         let memo = ScheduleMemo::new();
         let g = chain("g", 10);
         let schedule = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
-        memo.insert(ScheduleMemo::key(&g), &g, &[], &schedule);
+        memo.insert(fingerprint(&g), &g, &[], &schedule);
 
         // A structurally identical graph with different names hits.
         let twin = chain("other", 10);
-        let replayed = memo.lookup(ScheduleMemo::key(&twin), &twin, &[]).expect("twin hits");
+        let replayed = memo.lookup(fingerprint(&twin), &twin, &[]).expect("twin hits");
         assert_eq!(replayed, schedule);
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.misses(), 0);
-        assert_eq!(memo.len(), 1);
+        assert_eq!(len(memo), 1);
     }
 
     #[test]
@@ -319,11 +171,10 @@ mod tests {
         let memo = ScheduleMemo::new();
         let g = chain("g", 10);
         let schedule = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
-        memo.insert(ScheduleMemo::key(&g), &g, &[], &schedule);
+        memo.insert(fingerprint(&g), &g, &[], &schedule);
 
         let other = chain("g", 64);
-        assert!(memo.lookup(ScheduleMemo::key(&other), &other, &[]).is_none());
-        assert_eq!(memo.misses(), 1);
+        assert!(memo.lookup(fingerprint(&other), &other, &[]).is_none());
     }
 
     #[test]
@@ -333,16 +184,16 @@ mod tests {
         // the pinned lookup, and vice versa.
         let memo = ScheduleMemo::new();
         let g = chain("g", 10);
-        let key = ScheduleMemo::key(&g);
+        let key = fingerprint(&g);
         let unpinned = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
         memo.insert(key, &g, &[], &unpinned);
 
         let pin = [serenity_ir::NodeId::from_index(0)];
         assert!(memo.lookup(key, &g, &pin).is_none(), "pinned lookup must not see unpinned entry");
         memo.insert(key, &g, &pin, &unpinned);
-        assert_eq!(memo.len(), 2, "pinned and unpinned entries coexist");
         assert!(memo.lookup(key, &g, &pin).is_some());
         assert!(memo.lookup(key, &g, &[]).is_some());
+        assert_eq!(len(memo), 2, "pinned and unpinned entries coexist");
     }
 
     #[test]
@@ -350,30 +201,27 @@ mod tests {
         let memo = ScheduleMemo::new();
         let g = chain("g", 10);
         let schedule = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
-        let key = ScheduleMemo::key(&g);
+        let key = fingerprint(&g);
         memo.insert(key, &g, &[], &schedule);
         memo.insert(key, &chain("renamed", 10), &[], &schedule);
-        assert_eq!(memo.len(), 1);
+        assert_eq!(len(memo), 1);
     }
 
     #[test]
     fn layered_lookup_falls_through_and_absorb_merges() {
         let base = Arc::new(ScheduleMemo::new());
         let g = chain("g", 10);
-        let key = ScheduleMemo::key(&g);
+        let key = fingerprint(&g);
         let schedule = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
         base.insert(key, &g, &[], &schedule);
 
+        // Parent entries are visible through the layer.
         let layer = ScheduleMemo::layered(Arc::clone(&base));
-        // Parent entry is visible through the layer; the hit counts on the
-        // layer, not the parent.
         assert_eq!(layer.lookup(key, &g, &[]).unwrap(), schedule);
-        assert_eq!(layer.hits(), 1);
-        assert_eq!(base.hits(), 0);
 
         // Local inserts stay local until absorbed.
         let h = chain("h", 64);
-        let hk = ScheduleMemo::key(&h);
+        let hk = fingerprint(&h);
         let hs = Schedule::from_order(&h, topo::kahn(&h)).unwrap();
         layer.insert(hk, &h, &[], &hs);
         assert!(base.lookup(hk, &h, &[]).is_none());
@@ -383,44 +231,8 @@ mod tests {
         let dup = ScheduleMemo::new();
         dup.insert(key, &chain("renamed", 10), &[], &schedule);
         base.absorb(dup);
-        assert_eq!(base.len(), 2);
-    }
-
-    #[test]
-    fn cache_backed_memo_falls_through_and_writes_through() {
-        let cache = Arc::new(crate::cache::CompileCache::new());
-        let a = ScheduleMemo::backed(Arc::clone(&cache), 7);
-        let g = chain("g", 10);
-        let key = ScheduleMemo::key(&g);
-        let s = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
-        a.insert(key, &g, &[], &s);
-        assert_eq!(a.lookup_traced(key, &g, &[]).unwrap().1, MemoSource::Memo);
-
-        // A second, fresh memo for the same backend ("the next request")
-        // sees the entry through the cache.
-        let b = ScheduleMemo::backed(Arc::clone(&cache), 7);
-        let (replayed, source) = b.lookup_traced(key, &g, &[]).expect("cache fall-through");
-        assert_eq!(replayed, s);
-        assert_eq!(source, MemoSource::Cache);
-
-        // A memo keyed for a different backend configuration must not.
-        let other = ScheduleMemo::backed(Arc::clone(&cache), 8);
-        assert!(other.lookup(key, &g, &[]).is_none());
-
-        // Layers over a backed memo reach the cache too, and absorbing an
-        // overlay into a backed memo publishes the overlay's entries.
-        let layer = ScheduleMemo::layered(Arc::new(ScheduleMemo::backed(Arc::clone(&cache), 7)));
-        assert!(layer.is_cache_backed());
-        assert_eq!(layer.lookup_traced(key, &g, &[]).unwrap().1, MemoSource::Cache);
-
-        let h = chain("h", 64);
-        let hk = ScheduleMemo::key(&h);
-        let hs = Schedule::from_order(&h, topo::kahn(&h)).unwrap();
-        let overlay = ScheduleMemo::new();
-        overlay.insert(hk, &h, &[], &hs);
-        a.absorb(overlay);
-        let fresh = ScheduleMemo::backed(Arc::clone(&cache), 7);
-        assert_eq!(fresh.lookup_traced(hk, &h, &[]).unwrap().1, MemoSource::Cache);
+        let base = Arc::try_unwrap(base).ok().expect("layer dropped on absorb");
+        assert_eq!(len(base), 2);
     }
 
     #[test]
@@ -434,8 +246,8 @@ mod tests {
         let hs = Schedule::from_order(&h, topo::kahn(&h)).unwrap();
         memo.insert(42, &g, &[], &gs);
         memo.insert(42, &h, &[], &hs);
-        assert_eq!(memo.len(), 2);
         assert_eq!(memo.lookup(42, &h, &[]).unwrap().peak_bytes, hs.peak_bytes);
         assert_eq!(memo.lookup(42, &g, &[]).unwrap().peak_bytes, gs.peak_bytes);
+        assert_eq!(len(memo), 2);
     }
 }

@@ -31,16 +31,16 @@
 //! Two drivers run the rules:
 //!
 //! * [`Rewriter`] — the blind fixpoint: apply every matched site once, no
-//!   scheduler in the loop (the legacy mode, kept for
-//!   `RewriteMode::Always` and ablations).
+//!   scheduler in the loop (kept for one-shot ablations, the paper-figure
+//!   binaries and the rule tests).
 //! * [`RewriteSearch`] — the cost-guided loop (Figure 4 run iteratively):
 //!   per iteration every site becomes a candidate graph, each candidate is
 //!   *scheduled* by a scoring backend (optionally across worker threads,
 //!   with a deterministic replay that keeps any thread count bit-identical
 //!   to serial), and only the best strictly-peak-reducing candidate is
 //!   kept, until a fixed point, deadline, or budget. Unchanged
-//!   divide-and-conquer segments are replayed from a
-//!   [`ScheduleMemo`](crate::memo::ScheduleMemo) instead of re-searched.
+//!   divide-and-conquer segments are replayed from the run's schedule memo
+//!   instead of re-searched.
 
 mod channel;
 mod kernel;
@@ -185,7 +185,7 @@ impl RewriteOutcome {
 ///
 /// [`Rewriter::rewrite`] applies every matched site unconditionally, without
 /// consulting a scheduler — the paper's "apply all identity rewrites" mode,
-/// kept for `RewriteMode::Always` and as a cheap preprocessing step. The
+/// kept for one-shot ablations and as a cheap preprocessing step. The
 /// recommended flow is [`Rewriter::cost_guided`], which turns the same rule
 /// set into a [`RewriteSearch`] that keeps a rewrite only when scheduling
 /// confirms it lowers the peak.

@@ -25,14 +25,17 @@
 //!    once.
 //! 3. **Score** each candidate by actually scheduling it (divide-and-conquer
 //!    with the configured scoring backend). Segments unchanged since any
-//!    previous scoring run replay from a [`ScheduleMemo`] instead of being
-//!    re-searched. With [`RewriteSearchConfig::threads`] > 1 the iteration's
-//!    candidates are scored across `std::thread::scope` workers; each worker
-//!    sees the iteration-start memo through a private layer
-//!    ([`ScheduleMemo::layered`]) and buffers its events, and the results
-//!    are then *replayed* serially in canonical site order — budget
-//!    accounting, stats, events, and the winner are computed from the
-//!    replay, so parallel runs are bit-identical to serial ones.
+//!    previous scoring run replay from the run's [`ScheduleMemo`] instead of
+//!    being re-searched. With [`RewriteSearchConfig::threads`] > 1 the
+//!    iteration's candidates are scored across `std::thread::scope`
+//!    workers; each worker sees the iteration-start memo through a private
+//!    layer ([`ScheduleMemo::layered`]) and buffers its events, and the
+//!    results are then *replayed* serially in canonical site order — budget
+//!    accounting, stats, events, memo merging, and the winner are computed
+//!    from the replay, so parallel runs are bit-identical to serial ones.
+//!    With a compile cache in the [`CompileContext`], scoring also replays
+//!    segments cached by earlier requests, but it never writes the cache:
+//!    the run memo is published to it once, when the search ends.
 //! 4. Accept the best candidate that does not *worsen* the scored peak;
 //!    stop when every candidate worsens it (fixed point), on the iteration
 //!    cap, the candidate budget, the application cap, or the
@@ -60,7 +63,6 @@ use serenity_ir::fingerprint::{structural_eq, FingerprintCache};
 use serenity_ir::{Graph, GraphError, NodeId};
 
 use crate::backend::{BeamBackend, BoundHandle, CompileContext, CompileEvent, SchedulerBackend};
-use crate::cache::CompileCache;
 use crate::capacity::CapacityTarget;
 use crate::divide::DivideAndConquer;
 use crate::memo::ScheduleMemo;
@@ -240,7 +242,6 @@ pub struct RewriteSearch {
     rules: Vec<Arc<dyn RewriteRule + Send + Sync>>,
     config: RewriteSearchConfig,
     scorer: Arc<dyn SchedulerBackend>,
-    cache: Option<Arc<CompileCache>>,
 }
 
 impl std::fmt::Debug for RewriteSearch {
@@ -249,7 +250,6 @@ impl std::fmt::Debug for RewriteSearch {
             .field("rules", &self.rules.iter().map(|r| r.name()).collect::<Vec<_>>())
             .field("config", &self.config)
             .field("scorer", &self.scorer.name())
-            .field("cache", &self.cache.is_some())
             .finish()
     }
 }
@@ -345,24 +345,12 @@ impl RewriteSearch {
             rules,
             config: RewriteSearchConfig::default(),
             scorer: Arc::new(BeamBackend::default()),
-            cache: None,
         }
     }
 
     /// Replaces the search configuration.
     pub fn config(mut self, config: RewriteSearchConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Backs the run's schedule memo with the process-wide `cache`, keyed
-    /// by the scoring backend's
-    /// [`config_fingerprint`](SchedulerBackend::config_fingerprint):
-    /// candidate segments scored by an earlier compile request replay
-    /// instead of being re-searched, and this run's scores are published
-    /// for later requests. Results stay bit-identical to a cache-free run.
-    pub fn cache(mut self, cache: Arc<CompileCache>) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -561,7 +549,8 @@ impl RewriteSearch {
                     },
                     None => None,
                 };
-                let memo_layer = Arc::try_unwrap(layer).expect("scorer dropped its memo handle");
+                let memo_layer =
+                    Arc::try_unwrap(layer).ok().expect("scorer dropped its memo handle");
                 Scored::Done {
                     peak: scored.schedule.peak_bytes,
                     rank,
@@ -741,20 +730,14 @@ impl RewriteSearch {
             });
         }
         let target = ctx.capacity().filter(CapacityTarget::steers_search);
-        // A capacity-sensitive scorer (the portfolio) can pick different
-        // winners per capacity under the same config fingerprint, so the
-        // memo key is salted exactly like the pipeline's cache key.
-        let scorer_fingerprint =
-            self.scorer.config_fingerprint() ^ target.map_or(0, |t| t.cache_salt());
-        let memo = Arc::new(match &self.cache {
-            Some(cache) => ScheduleMemo::backed(Arc::clone(cache), scorer_fingerprint),
-            None => ScheduleMemo::new(),
-        });
-        let scorer =
-            DivideAndConquer::new().backend(Arc::clone(&self.scorer)).memo(Arc::clone(&memo));
+        // The run's memo: every scoring pass reads it (candidates through a
+        // private layer), and the context's compile cache is only written
+        // once, when the run ends.
+        let memo = Arc::new(ScheduleMemo::new());
+        let scorer = DivideAndConquer::new().backend(Arc::clone(&self.scorer));
 
         let mut stats = ScheduleStats::default();
-        let initial = scorer.schedule_with_ctx(graph, ctx)?;
+        let initial = scorer.clone().memo(Arc::clone(&memo)).schedule_with_ctx(graph, ctx)?;
         stats.absorb(&initial.total_stats);
         let initial_peak = initial.schedule.peak_bytes;
         let initial_key: ScoreKey = match target {
@@ -946,6 +929,11 @@ impl RewriteSearch {
                 break RewriteStop::CandidateBudget;
             }
         };
+
+        // Every scoring layer died with its iteration, so the run memo is
+        // whole: publish it to the compile cache for later requests.
+        let memo = Arc::try_unwrap(memo).ok().expect("scoring layers outlived their iteration");
+        scorer.publish(memo, ctx);
 
         // Return the last strictly-improving snapshot, dropping trailing
         // plateau steps that never paid off.

@@ -67,8 +67,9 @@ pub struct ScheduleStats {
     /// Budget-pruned DP probes launched by the adaptive meta-search
     /// (Algorithm 2 rounds); zero for single-shot schedulers.
     pub probes: u64,
-    /// Segment schedules replayed from a [`ScheduleMemo`](crate::memo::ScheduleMemo)
-    /// instead of being re-searched (rewrite-loop runs only; zero otherwise).
+    /// Segment schedules replayed from the request's in-memory schedule memo
+    /// instead of being re-searched (zero when neither a rewrite search nor
+    /// a compile cache installed one).
     pub memo_hits: u64,
     /// Segment schedules that missed the memo and were actually searched
     /// (only counted when a memo was installed).

@@ -4,9 +4,14 @@
 
 use std::sync::Arc;
 
-use serenity_core::backend::{BeamBackend, DpBackend};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use serenity_core::backend::{BeamBackend, CompileContext, CompileOptions, DpBackend};
 use serenity_core::cache::{CompileCache, CompileCacheConfig};
+use serenity_core::divide::DivideAndConquer;
 use serenity_core::pipeline::{CompiledSchedule, RewriteMode, Serenity};
+use serenity_core::{CapacityTarget, PortfolioBackend};
+use serenity_ir::random_dag::{independent_branches, random_dag, RandomDagConfig};
 use serenity_ir::Graph;
 use serenity_nets::randwire::{randwire_cell, Aggregation, RandWireConfig};
 use serenity_nets::swiftnet::{swiftnet_with, SwiftNetConfig};
@@ -145,11 +150,8 @@ fn different_backends_never_cross_hit_through_the_pipeline() {
 #[test]
 fn divide_and_conquer_consults_the_context_cache() {
     // CompileOptions::compile_cache must work for direct divide-and-conquer
-    // calls, not only through the Serenity pipeline: the driver derives a
-    // cache-backed memo from the context when none is installed.
-    use serenity_core::backend::{CompileContext, CompileOptions};
-    use serenity_core::divide::DivideAndConquer;
-
+    // calls, not only through the Serenity pipeline: divide-and-conquer is
+    // the one reader and writer of the context's cache.
     let cache = Arc::new(CompileCache::new());
     let graph = small_swiftnet();
     let scheduler = DivideAndConquer::new();
@@ -170,16 +172,50 @@ fn divide_and_conquer_consults_the_context_cache() {
 }
 
 #[test]
-fn whole_graph_caching_works_without_divide_and_conquer() {
+fn divide_and_conquer_keys_the_cache_by_capacity() {
+    // A traffic-steering portfolio picks different winners at different
+    // `MinTraffic` capacities, so a compile warmed at one capacity must
+    // return exactly what a cache-free compile at another returns. Each
+    // (seed, warm capacity, compile capacity) below is a 10-node random DAG
+    // where a key without the capacity salt replays the wrong winner; at
+    // seed 174 the replayed schedule spills where the right one fits.
+    let ctx = |capacity: u64, cache: Option<&Arc<CompileCache>>| {
+        CompileContext::new(CompileOptions {
+            capacity: Some(CapacityTarget::min_traffic(capacity)),
+            cache: cache.cloned(),
+            ..CompileOptions::default()
+        })
+    };
+    let scheduler = DivideAndConquer::new().backend(Arc::new(PortfolioBackend::standard()));
+    for (seed, warm_at, compile_at) in [(174u64, 357, 476), (186, 195, 260), (193, 283, 377)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = random_dag(&RandomDagConfig { nodes: 10, ..Default::default() }, &mut rng);
+        let cache = Arc::new(CompileCache::new());
+        scheduler.schedule_with_ctx(&graph, &ctx(warm_at, Some(&cache))).unwrap();
+        let warmed = scheduler.schedule_with_ctx(&graph, &ctx(compile_at, Some(&cache))).unwrap();
+        let cache_free = scheduler.schedule_with_ctx(&graph, &ctx(compile_at, None)).unwrap();
+        assert_eq!(warmed.schedule, cache_free.schedule, "seed {seed}: {warm_at} -> {compile_at}");
+        assert_eq!(warmed.total_stats.cache_hits, 0, "seed {seed}: crossed capacities");
+
+        let rewarmed = scheduler.schedule_with_ctx(&graph, &ctx(compile_at, Some(&cache))).unwrap();
+        assert!(rewarmed.total_stats.cache_hits > 0, "seed {seed}: same capacity must replay");
+        assert_eq!(rewarmed.schedule, cache_free.schedule);
+    }
+}
+
+#[test]
+fn uncut_graph_is_cached_as_one_segment() {
+    // A graph without cut nodes is a single divide-and-conquer segment, so
+    // the whole graph is the unit of reuse.
     let cache = Arc::new(CompileCache::new());
-    let compiler =
-        Serenity::builder().divide_and_conquer(false).compile_cache(Arc::clone(&cache)).build();
-    let graph = concat_randwire(9);
+    let compiler = Serenity::builder().compile_cache(Arc::clone(&cache)).build();
+    let graph = independent_branches(5, 10);
     let cold = compiler.compile(&graph).unwrap();
-    assert!(cold.stats.cache_misses > 0);
+    assert_eq!(cold.partition.segment_sizes, vec![graph.len()]);
+    assert_eq!((cold.stats.cache_hits, cold.stats.cache_misses), (0, 1));
     let warm = compiler.compile(&graph).unwrap();
-    assert!(warm.stats.cache_hits > 0, "whole-graph entry must replay: {:?}", warm.stats);
-    assert_same_compile(&warm, &cold, "no-divide warm vs cold");
+    assert_eq!((warm.stats.cache_hits, warm.stats.cache_misses), (1, 0));
+    assert_same_compile(&warm, &cold, "uncut warm vs cold");
 }
 
 #[test]

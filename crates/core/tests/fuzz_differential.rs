@@ -443,13 +443,16 @@ fn every_seeded_mutant_is_rejected() {
     let mut capacity_tried = 0usize;
     for graph in &graphs {
         let base = if graph.name().contains("rewrite") {
-            // Force the rewrite so mutation class 9 has a log to drop.
-            Serenity::builder()
-                .rewrite(RewriteMode::Always)
+            // The cost-guided search keeps a rewrite of this cell, so
+            // mutation class 9 has a log to drop.
+            let compiled = Serenity::builder()
+                .rewrite(RewriteMode::IfBeneficial)
                 .allocator(Some(Strategy::GreedyBySize))
                 .build()
                 .compile(graph)
-                .expect("rewritable cell compiles")
+                .expect("rewritable cell compiles");
+            assert!(!compiled.rewrites.is_empty(), "the search must keep a rewrite of {graph}");
+            compiled
         } else {
             compile_with_arena(graph)
         };
