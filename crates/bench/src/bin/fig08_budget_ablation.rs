@@ -4,9 +4,21 @@
 //! sweeping τ from the optimal peak µ* up to and beyond the hard budget
 //! τ_max (the Kahn peak), plus the `'no solution'` region below µ*.
 //!
+//! The `adaptive` backend deviates from Algorithm 2 in two ways, and the
+//! program prints where its search starts and how it moves:
+//!
+//! * it starts at τ₀ = min(τ_max, peak of a width-16 beam schedule) — a
+//!   peak of a valid order, so τ₀ ≥ µ* and the first probe prunes more;
+//! * it never probes at or below a budget that returned `'no solution'`
+//!   (the literal rule can drop back below one after two in a row).
+//!
+//! Neither changes the schedule: every solved probe ran at τ ≥ µ*, where
+//! the budget-pruned DP returns the unbudgeted DP's order.
+//!
 //! Run with: `cargo run --release -p serenity-bench --bin fig08_budget_ablation`
 
 use serenity_bench::bar;
+use serenity_core::budget::AdaptiveSoftBudget;
 use serenity_core::dp::DpScheduler;
 use serenity_ir::{mem, topo};
 
@@ -21,11 +33,19 @@ fn main() {
     let hard = mem::peak_bytes(&graph, &topo::kahn(&graph)).expect("kahn valid");
 
     println!("Figure 8(b): explored schedules vs soft budget τ (SwiftNet Cell A)");
+    let adaptive = AdaptiveSoftBudget::new().threads(4).search(&graph).expect("cell A schedules");
     println!(
-        "optimal budget τ* = {:.1} KB, hard budget τ_max = {:.1} KB\n",
+        "optimal budget τ* = {:.1} KB, hard budget τ_max = {:.1} KB, adaptive start τ₀ = {:.1} KB",
         optimal as f64 / 1024.0,
-        hard as f64 / 1024.0
+        hard as f64 / 1024.0,
+        adaptive.hard_budget as f64 / 1024.0
     );
+    let probes: Vec<String> = adaptive
+        .rounds
+        .iter()
+        .map(|r| format!("{:.1} KB {:?}", r.budget as f64 / 1024.0, r.flag))
+        .collect();
+    println!("adaptive probes: {}\n", probes.join(" → "));
     println!("{:>10} {:>14} {:>9}  transitions", "τ (KB)", "flag", "explored");
 
     // Sample budgets from below µ* ('no solution') through τ_max and beyond.

@@ -14,6 +14,33 @@
 //! * `'solution'` ⇒ done — and because pruning with τ ≥ µ* preserves the
 //!   optimum, the returned schedule is *the* optimal schedule.
 //!
+//! Two deviations from Algorithm 2:
+//!
+//! * **A tighter start.** The first probe runs at
+//!   `τ₀ = min(Kahn peak, width-16 beam peak)`, both taken with the pinned
+//!   prefix hoisted to the front. On channel-partitioned concat graphs the
+//!   Kahn order keeps every branch live, so its peak sits far above µ* and
+//!   the first probe prunes almost nothing; the beam's peak is close to µ*.
+//!   The beam runs without the incumbent bound (its whole-frontier cutoff
+//!   would give up where the DP may still win), and its counters are part
+//!   of the search's totals.
+//! * **A bracketed bisection.** The search keeps a *floor*, the highest τ
+//!   that returned `'no solution'` (so µ* is above it), and a *ceiling*, the
+//!   lowest τ that timed out (τ₀ until one does). It never probes at or
+//!   below the floor: after `'no solution'` it probes halfway to the
+//!   ceiling, and a halving after `'timeout'` that would land at or below
+//!   the floor bisects the bracket instead. When the bracket has collapsed
+//!   the search escalates toward τ₀, as Algorithm 2 does. The literal rule
+//!   (`τ_old ← τ_new`) drops back below a budget that has already failed
+//!   after two `'no solution'` rounds in a row.
+//!
+//! Neither deviation can change a schedule. τ₀ is the peak of a valid
+//! pinned order, so τ₀ ≥ µ*; every probe that returns a solution ran at
+//! some τ ≥ µ*, where every state on an optimal path survives pruning, and
+//! the DP's intrinsic equal-peak tie-break makes each survivor independent
+//! of the pruned rivals — so every such probe returns the order of the
+//! unbudgeted DP. The deviations change only how many probes it takes.
+//!
 //! Two safeguards beyond the paper: the search never drops τ below the
 //! provable lower bound `LB = max_v(bytes(v) + Σ bytes(preds(v)))`, and a
 //! round limit turns pathological cases into
@@ -24,9 +51,13 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use serenity_ir::{mem, topo, Graph};
 
-use crate::backend::{CompileContext, CompileEvent};
-use crate::dp::{DpScheduler, DpSolution};
+use crate::backend::{BeamBackend, CompileContext, CompileEvent, KahnBackend, SchedulerBackend};
+use crate::dp::DpScheduler;
 use crate::{Schedule, ScheduleError, ScheduleStats};
+
+/// Width of the beam run whose peak tightens the starting budget τ₀: wide
+/// enough to land near µ* on the benchmark cells, cheap next to one probe.
+const START_BEAM_WIDTH: usize = 16;
 
 /// Outcome flag of one budget-pruned DP run (Algorithm 2's `flag`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,11 +88,14 @@ pub struct BudgetSearchOutcome {
     pub schedule: Schedule,
     /// Budget of the successful round.
     pub final_budget: u64,
-    /// The hard budget τ_max (peak of the Kahn schedule).
+    /// The starting budget τ₀ = min(Kahn peak, width-16 beam peak), both
+    /// with the pinned prefix hoisted. Algorithm 2's `τ_max` is the Kahn
+    /// peak alone; the beam only tightens it, and since both are peaks of
+    /// valid pinned orders, τ₀ ≥ µ* still holds (see the module docs).
     pub hard_budget: u64,
     /// Every round in order, including the successful one.
     pub rounds: Vec<BudgetRound>,
-    /// Aggregate statistics over all rounds.
+    /// Aggregate statistics over the beam run that found τ₀ and all rounds.
     pub total_stats: ScheduleStats,
 }
 
@@ -193,60 +227,51 @@ impl AdaptiveSoftBudget {
     ) -> Result<BudgetSearchOutcome, ScheduleError> {
         let started = Instant::now();
         ctx.check()?;
-        // Hard budget from Kahn's algorithm (Algorithm 2, line 3).
-        let kahn_order = topo::kahn(graph);
-        let hard_budget = mem::peak_bytes(graph, &kahn_order)?;
-        let lower_bound = mem::peak_lower_bound(graph);
+        // Starting budget τ₀: the Kahn peak (Algorithm 2, line 3), tightened
+        // by a beam run that ignores the incumbent bound.
+        let kahn = KahnBackend.schedule_with_prefix(graph, prefix, ctx)?;
+        let beam = BeamBackend::new(START_BEAM_WIDTH).schedule_with_prefix(
+            graph,
+            prefix,
+            &ctx.with_bound(None),
+        )?;
+        let hard_budget = kahn.schedule.peak_bytes.min(beam.schedule.peak_bytes);
+        let mut bracket = Bracket {
+            floor: None,
+            ceiling: hard_budget,
+            start: hard_budget,
+            lower_bound: mem::peak_lower_bound(graph),
+        };
 
-        let mut tau_old = hard_budget;
-        let mut tau_new = hard_budget;
+        let mut tau = hard_budget;
         let mut rounds: Vec<BudgetRound> = Vec::new();
-        let mut total_stats = ScheduleStats::default();
+        let mut total_stats = beam.stats;
 
         for _ in 0..self.config.max_rounds {
             ctx.check()?;
-            let scheduler = self.dp_for(tau_new);
-            let result = scheduler.schedule_with_prefix_ctx(graph, prefix, ctx);
-            let (flag, solution) = match result {
-                Ok(solution) => (RoundFlag::Solution, Some(solution)),
+            let mut stats = ScheduleStats::default();
+            let (flag, schedule) = match self.dp_for(tau).run(graph, prefix, ctx, &mut stats) {
+                Ok(schedule) => (RoundFlag::Solution, Some(schedule)),
                 Err(ScheduleError::NoSolution { .. }) => (RoundFlag::NoSolution, None),
                 Err(ScheduleError::Timeout { .. }) => (RoundFlag::Timeout, None),
                 Err(other) => return Err(other),
             };
-            let stats = solution.as_ref().map(|s| s.stats).unwrap_or_default();
             total_stats.absorb(&stats);
             total_stats.probes += 1;
-            ctx.emit(CompileEvent::BudgetProbe { budget: tau_new, flag });
-            rounds.push(BudgetRound { budget: tau_new, flag, stats });
+            ctx.emit(CompileEvent::BudgetProbe { budget: tau, flag });
+            rounds.push(BudgetRound { budget: tau, flag, stats });
 
-            match flag {
-                RoundFlag::Solution => {
-                    let DpSolution { schedule, .. } = solution.expect("solution present");
-                    total_stats.duration = started.elapsed();
-                    return Ok(BudgetSearchOutcome {
-                        schedule,
-                        final_budget: tau_new,
-                        hard_budget,
-                        rounds,
-                        total_stats,
-                    });
-                }
-                RoundFlag::Timeout => {
-                    // Too loose: halve (τ_old ← τ_new, τ_new ← τ_new / 2).
-                    tau_old = tau_new;
-                    tau_new = (tau_new / 2).max(lower_bound);
-                }
-                RoundFlag::NoSolution => {
-                    // Too tight: move halfway back toward the old budget
-                    // (simultaneous τ_old ← τ_new, τ_new ← (τ_new+τ_old)/2).
-                    let mid = midpoint(tau_new, tau_old);
-                    // If the interval has collapsed, escalate toward the hard
-                    // budget to guarantee progress.
-                    let bumped = if mid == tau_new { midpoint(tau_new, hard_budget) } else { mid };
-                    tau_old = tau_new;
-                    tau_new = if bumped == tau_new { hard_budget } else { bumped };
-                }
+            if let Some(schedule) = schedule {
+                total_stats.duration = started.elapsed();
+                return Ok(BudgetSearchOutcome {
+                    schedule,
+                    final_budget: tau,
+                    hard_budget,
+                    rounds,
+                    total_stats,
+                });
             }
+            tau = bracket.next(tau, flag);
         }
         Err(ScheduleError::BudgetSearchExhausted { rounds: rounds.len() })
     }
@@ -297,6 +322,47 @@ impl AdaptiveSoftBudget {
     }
 }
 
+/// The proven bounds the probes move between (see the module docs).
+#[derive(Debug)]
+struct Bracket {
+    /// Highest τ that returned `'no solution'`: µ* lies above it.
+    floor: Option<u64>,
+    /// Lowest τ that timed out, or τ₀ while none has.
+    ceiling: u64,
+    /// τ₀, the escalation target once the bracket has collapsed.
+    start: u64,
+    /// The provable lower bound LB; halving never goes below it.
+    lower_bound: u64,
+}
+
+impl Bracket {
+    /// The budget to probe after a round at `tau` ended with `flag`
+    /// (`'timeout'` or `'no solution'`).
+    fn next(&mut self, tau: u64, flag: RoundFlag) -> u64 {
+        let next = match flag {
+            RoundFlag::Timeout => {
+                self.ceiling = self.ceiling.min(tau);
+                (tau / 2).max(self.lower_bound)
+            }
+            RoundFlag::NoSolution => {
+                self.floor = Some(tau);
+                midpoint(tau, self.ceiling)
+            }
+            RoundFlag::Solution => unreachable!("a solution ends the search"),
+        };
+        let Some(floor) = self.floor else { return next };
+        if next > floor {
+            return next;
+        }
+        // Never at or below a failed budget: bisect the bracket, or, once it
+        // has collapsed, escalate toward τ₀ as Algorithm 2 does.
+        [midpoint(floor, self.ceiling), midpoint(floor, self.start)]
+            .into_iter()
+            .find(|&t| t > floor)
+            .unwrap_or(self.start)
+    }
+}
+
 fn midpoint(a: u64, b: u64) -> u64 {
     a / 2 + b / 2 + (a % 2 + b % 2) / 2
 }
@@ -318,8 +384,12 @@ mod tests {
 
     #[test]
     fn first_round_uses_hard_budget() {
+        // τ₀ = min(Kahn peak, width-16 beam peak).
         let g = independent_branches(5, 16);
+        let kahn = mem::peak_bytes(&g, &topo::kahn(&g)).unwrap();
+        let beam = crate::beam::BeamScheduler::new(START_BEAM_WIDTH).schedule(&g).unwrap();
         let outcome = AdaptiveSoftBudget::new().search(&g).unwrap();
+        assert_eq!(outcome.hard_budget, kahn.min(beam.schedule.peak_bytes));
         assert_eq!(outcome.rounds[0].budget, outcome.hard_budget);
     }
 
@@ -381,6 +451,65 @@ mod tests {
             .with_bound(Some(BoundHandle::seeded_weak(free.schedule.peak_bytes)));
         let bounded = AdaptiveSoftBudget::new().search_with_prefix_ctx(&g, &[], &ctx).unwrap();
         assert_eq!(bounded.schedule, free.schedule);
+    }
+
+    #[test]
+    fn incumbent_that_cuts_off_the_beam_does_not_stop_the_dp() {
+        use crate::backend::BoundHandle;
+        use rand::SeedableRng;
+        // The width-16 beam ends above µ* here, so a tie-winning incumbent
+        // just above µ* cuts it off; the τ₀ beam must run without the bound,
+        // or the search would give up although the DP beats the incumbent.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let g = random_dag(
+            &RandomDagConfig { nodes: 22, edge_prob: 0.15, ..Default::default() },
+            &mut rng,
+        );
+        let exact = DpScheduler::new().schedule(&g).unwrap().schedule;
+        let ctx = CompileContext::unconstrained()
+            .with_bound(Some(BoundHandle::seeded_incumbent(exact.peak_bytes + 1)));
+        let beam = BeamBackend::new(START_BEAM_WIDTH).schedule(&g, &ctx);
+        assert!(matches!(beam, Err(ScheduleError::BoundBeaten { .. })), "{beam:?}");
+        let outcome = AdaptiveSoftBudget::new().search_with_prefix_ctx(&g, &[], &ctx).unwrap();
+        assert_eq!(outcome.schedule, exact);
+    }
+
+    #[test]
+    fn bracket_never_probes_at_or_below_a_failed_budget() {
+        use RoundFlag::{NoSolution, Timeout};
+        let mut bracket = Bracket { floor: None, ceiling: 800, start: 800, lower_bound: 100 };
+        // Timeouts halve, as in Algorithm 2, down to the lower bound.
+        assert_eq!(bracket.next(800, Timeout), 400);
+        assert_eq!(bracket.next(400, Timeout), 200);
+        assert_eq!(bracket.next(200, Timeout), 100);
+        // 'no solution' bisects toward the lowest timed-out budget; after two
+        // in a row the literal rule would drop back to 125, below 150.
+        assert_eq!(bracket.next(100, NoSolution), 150);
+        assert_eq!(bracket.next(150, NoSolution), 175);
+        // A halving that would land on a failed budget bisects the bracket.
+        assert_eq!(bracket.next(175, Timeout), 162);
+        assert_eq!(bracket.next(162, NoSolution), 168);
+        // A collapsed bracket escalates toward τ₀, and then to τ₀ itself.
+        let mut collapsed = Bracket { floor: Some(173), ceiling: 175, start: 800, lower_bound: 1 };
+        assert_eq!(collapsed.next(174, NoSolution), 487);
+        let mut collapsed = Bracket { floor: None, ceiling: 11, start: 11, lower_bound: 1 };
+        assert_eq!(collapsed.next(10, NoSolution), 11);
+    }
+
+    #[test]
+    fn failed_runs_report_their_counters() {
+        let g = independent_branches(12, 8);
+        let ctx = CompileContext::unconstrained();
+        let optimal = DpScheduler::new().schedule(&g).unwrap().schedule.peak_bytes;
+        for (dp, timed_out) in [
+            (DpScheduler::new().max_states(2), true),
+            (DpScheduler::new().budget(optimal - 1), false),
+        ] {
+            let mut stats = ScheduleStats::default();
+            let err = dp.run(&g, &[], &ctx, &mut stats).unwrap_err();
+            assert_eq!(matches!(err, ScheduleError::Timeout { .. }), timed_out, "{err}");
+            assert!(stats.transitions > 0 && stats.states > 0, "{err}: {stats:?}");
+        }
     }
 
     #[test]

@@ -476,14 +476,38 @@ impl DpScheduler {
         prefix: &[NodeId],
         ctx: &CompileContext,
     ) -> Result<DpSolution, ScheduleError> {
+        let mut stats = ScheduleStats::default();
+        let schedule = self.run(graph, prefix, ctx, &mut stats)?;
+        Ok(DpSolution { schedule, stats })
+    }
+
+    /// The search behind [`DpScheduler::schedule_with_prefix_ctx`], writing
+    /// its counters to `stats` whether it succeeds or not, so the adaptive
+    /// meta-search can account the work of its failed probes too.
+    pub(crate) fn run(
+        &self,
+        graph: &Graph,
+        prefix: &[NodeId],
+        ctx: &CompileContext,
+        stats: &mut ScheduleStats,
+    ) -> Result<Schedule, ScheduleError> {
         let started = Instant::now();
+        let result = self.search(graph, prefix, ctx, stats);
+        stats.duration = started.elapsed();
+        result
+    }
+
+    fn search(
+        &self,
+        graph: &Graph,
+        prefix: &[NodeId],
+        ctx: &CompileContext,
+        stats: &mut ScheduleStats,
+    ) -> Result<Schedule, ScheduleError> {
         ctx.check()?;
         let n = graph.len();
         if n == 0 {
-            return Ok(DpSolution {
-                schedule: Schedule { order: Vec::new(), peak_bytes: 0 },
-                stats: ScheduleStats::default(),
-            });
+            return Ok(Schedule { order: Vec::new(), peak_bytes: 0 });
         }
 
         let cost = CostModel::new(graph);
@@ -501,7 +525,7 @@ impl DpScheduler {
             }
         }
 
-        let mut stats = ScheduleStats { states: 1, ..ScheduleStats::default() };
+        stats.states = 1;
         stats.peak_memo_bytes = frontier.pool_bytes();
         // Compacted backtrack records of completed steps; index k holds the
         // arena of step k (after k transitions past the prefix).
@@ -511,9 +535,9 @@ impl DpScheduler {
         for step in 0..remaining {
             let step_started = Instant::now();
             let next = if self.config.threads > 1 && frontier.len() >= PARALLEL_THRESHOLD {
-                self.expand_parallel(&moves, &frontier, step, step_started, &mut stats, ctx)?
+                self.expand_parallel(&moves, &frontier, step, step_started, stats, ctx)?
             } else {
-                self.expand_serial(&moves, &frontier, step, step_started, &mut stats, ctx)?
+                self.expand_serial(&moves, &frontier, step, step_started, stats, ctx)?
             };
             if next.len() == 0 {
                 let budget = self.config.budget.unwrap_or(u64::MAX);
@@ -558,14 +582,13 @@ impl DpScheduler {
         order.extend(prefix.iter().rev());
         order.reverse();
 
-        stats.duration = started.elapsed();
         let schedule = Schedule { order, peak_bytes: best.peak };
         debug_assert_eq!(
             serenity_ir::mem::peak_bytes(graph, &schedule.order).expect("valid order"),
             schedule.peak_bytes,
             "DP peak accounting must agree with the reference profiler"
         );
-        Ok(DpSolution { schedule, stats })
+        Ok(schedule)
     }
 
     fn root_arena(
@@ -638,13 +661,17 @@ impl DpScheduler {
         let mut transitions = 0u64;
         let mut pruned = 0u64;
         let mut bound_pruned = 0u64;
-        for si in 0..frontier.len() {
+        let mut aborted = Ok(());
+        'sweep: for si in 0..frontier.len() {
             let (z, scheduled) = frontier.sets(si);
             let meta = frontier.meta[si];
             for u in wordset::iter(z) {
                 transitions += 1;
                 if transitions & TIMEOUT_CHECK_MASK == 0 {
-                    self.check_limits(step, step_started, arena.len(), ctx)?;
+                    aborted = self.check_limits(step, step_started, arena.len(), ctx);
+                    if aborted.is_err() {
+                        break 'sweep;
+                    }
                     // The bound only tightens, so refreshing at the check
                     // cadence is sound; a stale value merely prunes less.
                     max_viable = max_viable_of(bound);
@@ -668,10 +695,12 @@ impl DpScheduler {
                 }
             }
         }
-        self.check_limits(step, step_started, arena.len(), ctx)?;
+        // Counted before an abort propagates: a failed run reports its work.
         stats.transitions += transitions;
         stats.pruned += pruned;
         stats.bound_pruned += bound_pruned;
+        aborted?;
+        self.check_limits(step, step_started, arena.len(), ctx)?;
         Ok(arena)
     }
 
@@ -697,8 +726,9 @@ impl DpScheduler {
 
         // Phase 1: generate candidates, bucketed by hash shard. Blocks are
         // plain `StepArena`s holding the worker's candidates (duplicates and
-        // all) in transition order; only phase 2 deduplicates.
-        type ChunkResult = Result<(Vec<StepArena>, u64, u64, u64), ScheduleError>;
+        // all) in transition order; only phase 2 deduplicates. Counters come
+        // back even from an aborted worker, so a failed run reports its work.
+        type ChunkResult = (Result<Vec<StepArena>, ScheduleError>, u64, u64, u64);
         let results: Vec<ChunkResult> = std::thread::scope(|scope| {
             let frontier = &frontier;
             let handles: Vec<_> = (0..threads)
@@ -721,7 +751,11 @@ impl DpScheduler {
                             for u in wordset::iter(z) {
                                 transitions += 1;
                                 if transitions & TIMEOUT_CHECK_MASK == 0 {
-                                    self.check_limits(step, step_started, emitted, ctx)?;
+                                    if let Err(e) =
+                                        self.check_limits(step, step_started, emitted, ctx)
+                                    {
+                                        return (Err(e), transitions, pruned, bound_pruned);
+                                    }
                                     max_viable = max_viable_of(bound);
                                 }
                                 match self.transition(
@@ -745,7 +779,7 @@ impl DpScheduler {
                                 }
                             }
                         }
-                        Ok((blocks, transitions, pruned, bound_pruned))
+                        (Ok(blocks), transitions, pruned, bound_pruned)
                     })
                 })
                 .collect();
@@ -754,14 +788,20 @@ impl DpScheduler {
 
         let mut worker_blocks: Vec<Vec<StepArena>> = Vec::with_capacity(threads);
         let mut candidate_bytes = 0u64;
-        for result in results {
-            let (blocks, transitions, pruned, bound_pruned) = result?;
+        let mut aborted = Ok(());
+        for (blocks, transitions, pruned, bound_pruned) in results {
             stats.transitions += transitions;
             stats.pruned += pruned;
             stats.bound_pruned += bound_pruned;
-            candidate_bytes += blocks.iter().map(StepArena::pool_bytes).sum::<u64>();
-            worker_blocks.push(blocks);
+            match blocks {
+                Ok(blocks) => {
+                    candidate_bytes += blocks.iter().map(StepArena::pool_bytes).sum::<u64>();
+                    worker_blocks.push(blocks);
+                }
+                Err(e) => aborted = aborted.and(Err(e)),
+            }
         }
+        aborted?;
         ctx.check()?;
 
         // Phase 2: merge each shard independently.

@@ -20,10 +20,13 @@
 //!   the provably footprint-optimal schedule in `O(|V|·2^|V|)` instead of
 //!   `O(|V|!)`. Backend name: `dp`.
 //! * [`budget::AdaptiveSoftBudget`] — the meta-search of §3.2 (Algorithm 2):
-//!   a binary search over the pruning budget τ between a hard budget obtained
-//!   from Kahn's algorithm and a provable lower bound, driven by the
-//!   `{solution, no-solution, timeout}` flags of budget-pruned DP runs.
-//!   Backend name: `adaptive` (the default).
+//!   a binary search over the pruning budget τ, driven by the
+//!   `{solution, no-solution, timeout}` flags of budget-pruned DP runs. Two
+//!   deviations from the paper: τ starts at the smaller of the Kahn peak and
+//!   a width-16 beam's peak, and probes stay strictly above the highest
+//!   budget that returned no solution. Both start and bounds are proven, so
+//!   every solved probe returns the unbudgeted DP's order; only the probe
+//!   count changes. Backend name: `adaptive` (the default).
 //! * [`beam::BeamScheduler`] — bounded-width beam search, a polynomial
 //!   fallback for graphs beyond exact reach. Backend name: `beam`.
 //! * [`baseline`] — the schedulers SERENITY is compared against: Kahn

@@ -1,21 +1,113 @@
-//! Tests of Algorithm 2's exact transition rules: how the meta-search moves
-//! the soft budget τ in response to `'timeout'` and `'no solution'` flags,
-//! verified against the recorded round log.
+//! Tests of Algorithm 2's transition rules as this crate runs them: where
+//! the meta-search starts τ, and how it moves τ in response to `'timeout'`
+//! and `'no solution'` flags, verified against the recorded round log.
+//! Timeouts come from state caps, never the clock, so every trajectory is
+//! the same on any host.
 
 use std::time::Duration;
 
+use rand::SeedableRng;
+use serenity_core::beam::BeamScheduler;
 use serenity_core::budget::{AdaptiveSoftBudget, RoundFlag};
 use serenity_core::dp::DpScheduler;
-use serenity_ir::random_dag::independent_branches;
-use serenity_ir::{mem, topo};
+use serenity_core::rewrite::Rewriter;
+use serenity_ir::random_dag::{independent_branches, random_dag, RandomDagConfig};
+use serenity_ir::{mem, topo, Graph, NodeId};
+use serenity_nets::randwire::{randwire_cell, Aggregation, RandWireConfig};
+
+fn kahn_peak(g: &Graph) -> u64 {
+    mem::peak_bytes(g, &topo::kahn(g)).unwrap()
+}
+
+/// A concat RandWire n8 cell after channel-wise partitioning: the Kahn
+/// order keeps every branch live, so its peak is far above µ*.
+fn rewritten_concat_cell() -> Graph {
+    let cell = randwire_cell(&RandWireConfig {
+        nodes: 8,
+        seed: 9,
+        hw: 16,
+        channels: 12,
+        aggregation: Aggregation::Concat,
+        ..Default::default()
+    });
+    Rewriter::standard().rewrite(&cell).graph
+}
 
 #[test]
 fn first_round_runs_at_the_hard_budget() {
     let g = independent_branches(7, 64);
-    let hard = mem::peak_bytes(&g, &topo::kahn(&g)).unwrap();
+    let kahn = kahn_peak(&g);
+    let beam = BeamScheduler::new(16).schedule(&g).unwrap().schedule.peak_bytes;
     let outcome = AdaptiveSoftBudget::new().search(&g).unwrap();
-    assert_eq!(outcome.hard_budget, hard);
-    assert_eq!(outcome.rounds[0].budget, hard, "Algorithm 2 line 3-4: τ starts at τ_max");
+    assert_eq!(outcome.hard_budget, kahn.min(beam), "τ₀ = min(Kahn peak, beam peak)");
+    assert_eq!(outcome.rounds[0].budget, outcome.hard_budget, "the first probe runs at τ₀");
+}
+
+#[test]
+fn beam_start_probes_below_the_kahn_peak_and_keeps_the_dp_order() {
+    let g = rewritten_concat_cell();
+    let kahn = kahn_peak(&g);
+    let exact = DpScheduler::new().schedule(&g).unwrap();
+    let at_kahn = DpScheduler::new().budget(kahn).schedule(&g).unwrap();
+    let outcome = AdaptiveSoftBudget::new().search(&g).unwrap();
+    assert!(outcome.rounds[0].budget < kahn, "{:?} vs Kahn {kahn}", outcome.rounds);
+    assert_eq!(outcome.schedule, exact.schedule, "τ₀ ≥ µ*: the DP's order is unchanged");
+    assert!(
+        outcome.total_stats.transitions * 2 <= at_kahn.stats.transitions,
+        "beam + probes {} vs one probe at the Kahn peak {}",
+        outcome.total_stats.transitions,
+        at_kahn.stats.transitions
+    );
+}
+
+#[test]
+fn beam_start_with_a_pinned_prefix_keeps_the_dp_order() {
+    // Pin the cell's input, as divide-and-conquer pins a boundary
+    // placeholder; the beam's order gets the prefix hoisted.
+    let g = rewritten_concat_cell();
+    let prefix = [NodeId::from_index(0)];
+    assert_eq!(g.indegree(prefix[0]), 0);
+    let exact = DpScheduler::new().schedule_with_prefix(&g, &prefix).unwrap();
+    let outcome = AdaptiveSoftBudget::new().search_with_prefix(&g, &prefix).unwrap();
+    assert!(outcome.rounds[0].budget < kahn_peak(&g), "{:?}", outcome.rounds);
+    assert!(outcome.schedule.order.starts_with(&prefix));
+    assert_eq!(outcome.schedule, exact.schedule);
+}
+
+#[test]
+fn two_no_solutions_in_a_row_never_probe_at_or_below_a_failed_budget() {
+    // A state cap makes the loose first budget time out, the halved one
+    // fail, and the next ones fail again. Algorithm 2's literal rule
+    // (τ_old ← τ_new) then drops back below a budget that already failed
+    // and keeps probing between failed budgets.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let g =
+        random_dag(&RandomDagConfig { nodes: 18, edge_prob: 0.2, ..Default::default() }, &mut rng);
+    let outcome = AdaptiveSoftBudget::new()
+        .step_timeout(Duration::from_secs(3600))
+        .max_states(40)
+        .max_rounds(24)
+        .search(&g)
+        .unwrap();
+    let trace: Vec<(u64, RoundFlag)> = outcome.rounds.iter().map(|r| (r.budget, r.flag)).collect();
+    assert!(
+        trace
+            .windows(2)
+            .any(|w| w[0].1 == RoundFlag::NoSolution && w[1].1 == RoundFlag::NoSolution),
+        "the trajectory must contain two 'no solution' rounds in a row: {trace:?}"
+    );
+    for (i, &(budget, _)) in trace.iter().enumerate() {
+        for &(failed, flag) in &trace[..i] {
+            assert!(
+                flag != RoundFlag::NoSolution || budget > failed,
+                "probe {i} at {budget} B is at or below the failed {failed} B: {trace:?}"
+            );
+        }
+    }
+    assert_eq!(trace.last().unwrap().1, RoundFlag::Solution);
+    assert_eq!(outcome.schedule, DpScheduler::new().schedule(&g).unwrap().schedule);
+    // Failed rounds report the work they did.
+    assert!(outcome.rounds.iter().all(|r| r.stats.transitions > 0), "{:?}", outcome.rounds);
 }
 
 #[test]
@@ -57,7 +149,7 @@ fn solution_budget_is_sandwiched() {
     let outcome = AdaptiveSoftBudget::new().search(&g).unwrap();
     let optimal = DpScheduler::new().schedule(&g).unwrap().schedule.peak_bytes;
     assert!(outcome.final_budget >= optimal, "τ_final must admit the optimum");
-    assert!(outcome.final_budget <= outcome.hard_budget, "τ_final never exceeds τ_max");
+    assert!(outcome.final_budget <= outcome.hard_budget, "τ_final never exceeds τ₀");
     assert_eq!(outcome.schedule.peak_bytes, optimal, "pruned DP stays optimal");
 }
 
@@ -66,7 +158,8 @@ fn round_stats_accumulate_into_totals() {
     let g = independent_branches(8, 32);
     let outcome = AdaptiveSoftBudget::new().search(&g).unwrap();
     let summed: u64 = outcome.rounds.iter().map(|r| r.stats.transitions).sum();
-    assert_eq!(outcome.total_stats.transitions, summed);
+    let beam = BeamScheduler::new(16).schedule(&g).unwrap().stats.transitions;
+    assert_eq!(outcome.total_stats.transitions, beam + summed, "the τ₀ beam run counts too");
 }
 
 #[test]

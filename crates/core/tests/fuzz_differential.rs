@@ -163,6 +163,33 @@ fn backends_agree_and_heuristics_never_beat_exact() {
                 seed()
             );
         }
+        // Beyond the peak: every solved budget probe is at τ ≥ µ*, so
+        // `adaptive` must return `dp`'s exact order, also with a pinned
+        // boundary prefix (the last source, so the prefix really is hoisted).
+        let dp = registry.create("dp").expect("dp is registered");
+        let adaptive = registry.create("adaptive").expect("adaptive is registered");
+        let source = graph
+            .node_ids()
+            .filter(|&u| graph.indegree(u) == 0)
+            .last()
+            .expect("DAGs have a source");
+        for prefix in [&[][..], &[source][..]] {
+            let run = |backend: &dyn SchedulerBackend| {
+                backend.schedule_with_prefix(&graph, prefix, &ctx).unwrap_or_else(|e| {
+                    panic!(
+                        "seed {}: {} failed on {graph} pinned {prefix:?}: {e}",
+                        seed(),
+                        backend.name()
+                    )
+                })
+            };
+            assert_eq!(
+                run(adaptive.as_ref()).schedule,
+                run(dp.as_ref()).schedule,
+                "seed {}: adaptive and dp orders differ on {graph} pinned {prefix:?}",
+                seed()
+            );
+        }
     }
 }
 

@@ -5,7 +5,11 @@
 //! * [`kahn`] is Kahn's algorithm (Kahn, 1962) with FIFO tie-breaking over
 //!   node-insertion order — the `O(|V|+|E|)` "basic topological ordering" the
 //!   paper attributes to TensorFlow Lite and uses to seed the hard budget
-//!   `τ_max` of adaptive soft budgeting (Algorithm 2, line 3).
+//!   `τ_max` of adaptive soft budgeting (Algorithm 2, line 3). The core
+//!   crate's meta-search starts at the smaller of this peak and a beam
+//!   schedule's peak (both are peaks of valid orders, so the start stays at
+//!   or above the optimum), and never probes at or below a budget that
+//!   already returned no solution.
 //! * [`random`] samples a topological order by picking uniformly from the
 //!   ready set at every step — used to draw the Figure 3(b) CDF.
 //! * [`for_each_order`] enumerates the whole space `S_T` (for the brute-force

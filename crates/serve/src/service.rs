@@ -12,10 +12,10 @@
 //!
 //! `POST /compile` responses are split in two on purpose:
 //!
-//! * `result` — a function of (backend configuration, graph structure)
-//!   only. Deterministic backends make it **bit-identical** across cache
-//!   hits, coalesced waits, and cold compiles; the benchmark harness and
-//!   the CI smoke test assert exactly that.
+//! * `result` — a function of (backend configuration, graph structure,
+//!   graph name) only. Deterministic backends make it **bit-identical**
+//!   across cache hits, coalesced waits, and cold compiles; the benchmark
+//!   harness and the CI smoke test assert exactly that.
 //! * `meta` — per-request circumstance: whether this response was
 //!   coalesced off another request's compile, cache hit/miss counts, and
 //!   the observed compile time. Never part of the identity.
@@ -552,6 +552,9 @@ impl CompileService {
         // targets are also mixed in — even a non-steering `fit` target
         // changes the response meta, so it must never coalesce with an
         // unconstrained request (the steering salt alone would miss that).
+        // The graph's name is mixed in as well: the fingerprint ignores it,
+        // but the shared `result` carries it, so a renamed structural twin
+        // must not be handed the leader's name.
         let capacity_key = capacity.map_or(0, |t| {
             t.capacity_bytes.rotate_left(23)
                 ^ t.cache_salt()
@@ -561,7 +564,7 @@ impl CompileService {
             self.backend_key
                 ^ budget.map_or(0, |b| b.wrapping_add(1).rotate_left(17))
                 ^ capacity_key,
-            serenity_ir::fingerprint::fingerprint(&graph),
+            serenity_ir::fingerprint::fingerprint(&graph) ^ name_key(graph.name()),
         );
 
         let mut own_error: Option<ScheduleError> = None;
@@ -971,6 +974,14 @@ fn flight_key(backend_key: u64, graph_key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Hash of a graph name, for the flight key.
+fn name_key(name: &str) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = serenity_ir::fxhash::FxHasher::default();
+    hasher.write(name.as_bytes());
+    hasher.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1177,6 +1188,52 @@ mod tests {
         let coalesced = parsed["singleflight"]["coalesced"].as_u64().unwrap();
         assert_eq!(leads, 1, "exactly one request ran the compile");
         assert_eq!(coalesced, (N - 1) as u64, "every other request shared the result");
+    }
+
+    #[test]
+    fn renamed_structural_twins_are_not_coalesced_onto_another_name() {
+        use serenity_core::FaultPoint;
+        // A one-shot slow-compile fault holds the first compile (the leader
+        // for "twin-a") while two renamed structural twins and two more
+        // "twin-a" requests arrive at once.
+        let plan = Arc::new(FaultPlan::parse("slow-compile=1:2000ms", 0).unwrap());
+        let svc = Arc::new(CompileService::new(
+            Arc::new(AdaptiveBackend::default()),
+            Arc::new(CompileCache::new()),
+            ServiceConfig { fault: Some(Arc::clone(&plan)), ..ServiceConfig::default() },
+        ));
+        let send = |name: &'static str| {
+            let mut graph = demo_graph(6);
+            graph.set_name(name);
+            let (svc, body) = (Arc::clone(&svc), to_json(&graph));
+            let handle = std::thread::spawn(move || {
+                svc.handle(&post_compile(&body, ""), &CancelToken::new()).unwrap()
+            });
+            (name, handle)
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut requests = vec![send("twin-a")];
+        while plan.fired(FaultPoint::SlowCompile) == 0 {
+            assert!(Instant::now() < deadline, "the leader never reached its compile");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        requests.extend(["twin-b", "twin-c", "twin-a", "twin-a"].map(send));
+        while svc.flights.stats().waiting < 2 {
+            assert!(Instant::now() < deadline, "the same-name burst never joined the flight");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut coalesced = Vec::new();
+        for (name, handle) in requests {
+            let response = handle.join().unwrap();
+            assert_eq!(response.status, 200, "{}", response.body);
+            let body: serde_json::Value = serde_json::from_str(&response.body).unwrap();
+            assert_eq!(body["result"]["graph"].as_str(), Some(name), "{}", response.body);
+            if body["meta"]["coalesced"].as_bool() == Some(true) {
+                coalesced.push(name);
+            }
+        }
+        assert_eq!(coalesced, ["twin-a", "twin-a"], "the identical-name burst still coalesces");
+        assert_eq!(svc.flights.stats().leads, 3, "one flight per name");
     }
 
     #[test]

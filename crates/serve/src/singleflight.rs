@@ -6,8 +6,10 @@
 //! compile finishes and would each launch the same search. [`SingleFlight`]
 //! closes that window: flights are keyed by the same identity as the cache
 //! (backend configuration fingerprint × structural graph fingerprint ×
-//! pinned prefix), so two requests coalesce exactly when the cache would
-//! have considered them the same entry — and because every backend is
+//! pinned prefix) plus what a response carries beyond it (the graph's
+//! name, the request's search budget and capacity target), so two requests
+//! coalesce only when the cache would have considered them the same entry
+//! and their responses are the same — and because every backend is
 //! deterministic, the shared result is bit-identical to what each waiter
 //! would have computed itself.
 //!
