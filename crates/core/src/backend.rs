@@ -569,8 +569,9 @@ pub struct CompileOptions {
     /// completed runs are bit-identical with or without it — so it is
     /// excluded from every `config_fingerprint`.
     pub bound: Option<BoundHandle>,
-    /// Hard cap, in bytes, on a search's *own* live memory (DP memo
-    /// arenas, beam frontiers) — not the schedule's activation footprint.
+    /// Hard cap, in bytes, on a search's *own* live memory (DP arenas,
+    /// memo index and backtrack records; beam frontiers and records) — not
+    /// the schedule's activation footprint.
     /// Backends compare it against the same accounting that feeds
     /// [`ScheduleStats::peak_memo_bytes`] and fail fast with
     /// [`ScheduleError::MemoryBudgetExceeded`] instead of growing without

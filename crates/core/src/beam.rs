@@ -20,7 +20,9 @@
 //! divide-and-conquer segment and rewrite candidate in the benchmark suite
 //! — take a const-generic fast path whose bitsets are `[u64; W]` arrays
 //! held by value, so states are `Copy`, live in registers, and the loop has
-//! no slice indexing at all; larger graphs fall back to per-step word
+//! no slice indexing at all; it reads the table's [`FixedTable`] view,
+//! whose masks are inline `[u64; W]` arrays too (the DP's fixed-width
+//! layout reads the same view). Larger graphs fall back to per-step word
 //! pools. The beam is the default scorer of the rewrite↔schedule search —
 //! it runs once per rewrite candidate — so these constants are the
 //! candidate-throughput constants of the whole Figure 4 loop. Enumeration
@@ -35,7 +37,7 @@
 
 use std::time::Instant;
 
-use serenity_ir::mem::{CostModel, TransitionTable};
+use serenity_ir::mem::{CostModel, FixedTable, TransitionTable};
 use serenity_ir::set::wordset;
 use serenity_ir::{Graph, NodeId};
 
@@ -255,18 +257,19 @@ impl BeamScheduler {
         let cost = CostModel::new(graph).transition_table();
         // Dispatch on bitset width: segment-sized graphs take the inline
         // `[u64; W]` engine; anything larger falls back to the word pools.
-        match n.div_ceil(64) {
-            1 => self.run_fixed::<1>(graph, &cost, ctx, started),
-            2 => self.run_fixed::<2>(graph, &cost, ctx, started),
+        match cost.words() {
+            1 => self.run_fixed(graph, &cost.fixed::<1>(), ctx, started),
+            2 => self.run_fixed(graph, &cost.fixed::<2>(), ctx, started),
             words => self.run_pooled(graph, &cost, ctx, started, words),
         }
     }
 
-    /// The fixed-width engine: `W`-word inline bitsets, `Copy` states.
+    /// The fixed-width engine: `W`-word inline bitsets, `Copy` states, and
+    /// the table's matching [`FixedTable`] view.
     fn run_fixed<const W: usize>(
         &self,
         graph: &Graph,
-        cost: &TransitionTable,
+        cost: &FixedTable<W>,
         ctx: &CompileContext,
         started: Instant,
     ) -> Result<BeamSolution, ScheduleError> {
@@ -312,12 +315,12 @@ impl BeamScheduler {
                         let mut z = state.z;
                         wordset::remove(&mut z, u);
                         let auto = cost.auto_ready(u);
-                        if auto != u32::MAX {
-                            wordset::union_into(&mut z, cost.mask(auto));
+                        for w in 0..W {
+                            z[w] |= auto[w];
                         }
-                        for &(s, off) in cost.succ_edges(u) {
-                            if cost.mask_ready(&sched, off) {
-                                wordset::insert(&mut z, s);
+                        for (s, mask) in cost.succ_edges(u) {
+                            if cost.mask_ready(&sched, mask) {
+                                wordset::insert(&mut z, *s);
                             }
                         }
                         // Dedup on the z signature: first occurrence keeps
@@ -673,11 +676,14 @@ mod tests {
             for width in [1usize, 8, 64] {
                 let beam = BeamScheduler::new(width);
                 let cost = CostModel::new(&g).transition_table();
-                let fixed = beam.run_fixed::<1>(&g, &cost, &ctx, Instant::now()).unwrap();
                 let pooled = beam.run_pooled(&g, &cost, &ctx, Instant::now(), 1).unwrap();
-                assert_eq!(fixed.schedule, pooled.schedule);
-                assert_eq!(fixed.stats.transitions, pooled.stats.transitions);
-                assert_eq!(fixed.stats.states, pooled.stats.states);
+                let one = beam.run_fixed(&g, &cost.fixed::<1>(), &ctx, Instant::now()).unwrap();
+                let two = beam.run_fixed(&g, &cost.fixed::<2>(), &ctx, Instant::now()).unwrap();
+                for fixed in [one, two] {
+                    assert_eq!(fixed.schedule, pooled.schedule);
+                    assert_eq!(fixed.stats.transitions, pooled.stats.transitions);
+                    assert_eq!(fixed.stats.states, pooled.stats.states);
+                }
             }
         }
     }

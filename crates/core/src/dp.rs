@@ -23,15 +23,25 @@
 //! # The frontier engine
 //!
 //! Frontiers reach tens of thousands of signatures per step on real
-//! irregularly wired networks, so the engine is built around three ideas:
+//! irregularly wired networks, so the engine is built around four ideas:
 //!
-//! * **Interned signatures in step arenas.** A state's `z` and scheduled
-//!   bitsets live as fixed-width word slices inside a per-step
-//!   `StepArena` word pool — one allocation per step, not two `Vec<u64>`s
-//!   per state. Transitions build the successor signature in a reused
-//!   scratch buffer; words are copied into the pool only when a signature
-//!   turns out to be new. The steady-state hot loop performs no heap
-//!   allocation per transition.
+//! * **Fixed-width states.** Graphs of at most 128 nodes — every
+//!   divide-and-conquer segment of the benchmark workloads — take a
+//!   const-generic path (dispatch on ⌈|V|/64⌉, as in the beam): a state's
+//!   `z` and scheduled sets are `[u64; W]` arrays (W = 1, 2) held inline
+//!   next to its metadata, and transitions read the masks of the
+//!   [`FixedTable`] view of the shared [`TransitionTable`], so the hot loop
+//!   indexes no word pool and every set operation unrolls to `W` words.
+//!   Larger graphs keep each step's sets in one flat word pool instead;
+//!   that pooled path is also the reference the fixed path is
+//!   differentially tested against. The search itself — merge rule,
+//!   pruning, limits, sharding, reconstruction — is written once against
+//!   the `Arena` trait both layouts implement, and both expand the same
+//!   candidates in the same order, so they return bit-identical orders,
+//!   peaks and counters.
+//! * **No allocation per transition.** Transitions build the successor
+//!   signature in a reused scratch value; it is copied into the next step's
+//!   arena only when the signature turns out to be new.
 //! * **Incremental Zobrist hashing.** Each state carries the 64-bit XOR of
 //!   its members' [`ZobristTable`] keys, updated in O(1) as nodes enter and
 //!   leave `z`. The memo table (`SigIndex`) is an open-addressing index
@@ -39,17 +49,19 @@
 //!   words; hash hits are confirmed by word comparison, keeping the memo
 //!   exact under (astronomically rare) Zobrist collisions.
 //! * **Arena compaction.** Once a step is expanded, its full signatures are
-//!   no longer needed — only the `(parent, node, peak)` backtrack records
-//!   survive (16 bytes per state), and the word pool is dropped. Peak search
-//!   memory is O(frontier × words) instead of O(steps × states × words);
+//!   no longer needed — only the `(parent, node)` backtrack records survive
+//!   (8 bytes per state), and the arena is dropped. Peak search memory is
+//!   O(frontier × words + states × 8 B) instead of O(states × words);
 //!   [`ScheduleStats::peak_memo_bytes`] reports the measured high-water
-//!   mark.
+//!   mark of everything the search holds — live arenas, the memo index,
+//!   parallel candidate blocks, and the backtrack records — and the
+//!   [`CompileContext`] memory budget is enforced against that figure.
 //!
-//! The allocate/free/ready queries run through the cache-dense
-//! [`TransitionTable`] the beam engine shares: "all predecessors scheduled"
-//! and "last consumer ran" are word-level subset tests against one mask
-//! pool, and successors whose only predecessor is the scheduled node join
-//! `z` as one OR-ed mask, their Zobrist keys pre-folded per node.
+//! The allocate/free/ready queries are word-level subset tests against the
+//! tables the beam engine shares: "all predecessors scheduled" and "last
+//! consumer ran" test one mask each, and successors whose only predecessor
+//! is the scheduled node join `z` as one OR-ed mask, their Zobrist keys
+//! pre-folded per node.
 //!
 //! # Equal-peak tie-breaks
 //!
@@ -78,7 +90,7 @@
 
 use std::time::{Duration, Instant};
 
-use serenity_ir::mem::{CostModel, FootprintTracker, TransitionTable};
+use serenity_ir::mem::{CostModel, FixedTable, FootprintTracker, TransitionTable};
 use serenity_ir::set::wordset;
 use serenity_ir::{Graph, GraphError, NodeId, NodeSet, ZobristTable};
 
@@ -153,8 +165,7 @@ pub struct DpScheduler {
     config: DpConfig,
 }
 
-/// Fixed-size per-state metadata; the signature words live in the arena
-/// pool.
+/// Fixed-size per-state metadata.
 #[derive(Debug, Clone, Copy)]
 struct StateMeta {
     /// Zobrist hash of the `z` signature (XOR of member keys).
@@ -169,80 +180,330 @@ struct StateMeta {
     node: NodeId,
 }
 
-/// One search step's states: fixed-size metadata plus a flat word pool
-/// holding each state's `z` and scheduled bitsets back to back.
+/// One search step's states in one of the engine's two layouts: the
+/// metadata plus each state's `z` and scheduled sets. Everything the search
+/// does beyond storing sets and applying the Figure 6 step to them is
+/// written once against this trait.
+trait Arena: Sized + Send + Sync {
+    /// The transition data this layout reads.
+    type Table: Sync;
+    /// A successor's `(z, scheduled)` sets, built by [`Arena::successor`].
+    type Sets: Send;
+
+    /// Derives [`Arena::Table`] from the shared table.
+    fn table(table: TransitionTable) -> Self::Table;
+    /// An arena of `words`-word sets holding one state.
+    fn root(words: usize, z: &[u64], scheduled: &[u64], meta: StateMeta) -> Self;
+    /// An empty arena of the same width, with room for `states` states.
+    fn sibling(&self, states: usize) -> Self;
+    /// A scratch value for successor sets.
+    fn scratch(&self) -> Self::Sets;
+    fn len(&self) -> usize;
+    fn meta(&self, i: usize) -> &StateMeta;
+    fn meta_mut(&mut self, i: usize) -> &mut StateMeta;
+    /// State `i`'s `z` words.
+    fn z(&self, i: usize) -> &[u64];
+    /// Whether state `i` has the `z` of `sets`.
+    fn has_z(&self, i: usize, sets: &Self::Sets) -> bool;
+    /// Appends a state, returning its index.
+    fn push(&mut self, sets: &Self::Sets, meta: StateMeta) -> u32;
+    /// Copies state `i`'s sets into `out`.
+    fn load(&self, i: usize, out: &mut Self::Sets);
+    /// Appends every state of `other`.
+    fn append(&mut self, other: &Self);
+    /// Heap bytes the arena holds (allocated capacity, not just length).
+    fn bytes(&self) -> u64;
+    /// Bytes allocated when state `i` schedules `u`.
+    fn alloc_bytes(&self, table: &Self::Table, i: usize, u: NodeId) -> u64;
+    /// Bytes freed right after state `i` schedules `u`.
+    fn free_bytes(&self, table: &Self::Table, i: usize, u: NodeId) -> u64;
+    /// Builds in `out` the sets of state `i` after scheduling `u`, and
+    /// returns the XOR of the Zobrist keys of the multi-predecessor
+    /// successors that became ready.
+    fn successor(
+        &self,
+        table: &Self::Table,
+        zobrist: &ZobristTable,
+        i: usize,
+        u: NodeId,
+        out: &mut Self::Sets,
+    ) -> u64;
+
+    /// Shrinks the arena to its backtrack records (the compaction step:
+    /// completed steps only need the parent chain), in an exact-size
+    /// allocation of their own.
+    fn into_back_records(self) -> Vec<BackRec> {
+        let mut recs = Vec::with_capacity(self.len());
+        recs.extend((0..self.len()).map(|i| {
+            let meta = self.meta(i);
+            BackRec { parent: meta.parent, node: meta.node }
+        }));
+        recs
+    }
+}
+
+/// A fixed-width state: both sets inline next to the metadata, so the
+/// state is `Copy` and a merge reads the hash and `z` it compares from one
+/// record rather than from a metadata array and a word pool.
+#[derive(Debug, Clone, Copy)]
+struct FixedState<const W: usize> {
+    z: [u64; W],
+    scheduled: [u64; W],
+    meta: StateMeta,
+}
+
+/// The layout of graphs of at most `64 × W` nodes.
 #[derive(Debug)]
-struct StepArena {
-    /// Words per bitset (⌈|V|/64⌉).
+struct FixedArena<const W: usize> {
+    states: Vec<FixedState<W>>,
+}
+
+impl<const W: usize> Arena for FixedArena<W> {
+    type Table = FixedTable<W>;
+    type Sets = ([u64; W], [u64; W]);
+
+    fn table(table: TransitionTable) -> FixedTable<W> {
+        table.fixed::<W>()
+    }
+
+    fn root(words: usize, z: &[u64], scheduled: &[u64], meta: StateMeta) -> Self {
+        let mut state = FixedState { z: [0; W], scheduled: [0; W], meta };
+        state.z[..words].copy_from_slice(z);
+        state.scheduled[..words].copy_from_slice(scheduled);
+        FixedArena { states: vec![state] }
+    }
+
+    fn sibling(&self, states: usize) -> Self {
+        FixedArena { states: Vec::with_capacity(states) }
+    }
+
+    fn scratch(&self) -> Self::Sets {
+        ([0; W], [0; W])
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    #[inline]
+    fn meta(&self, i: usize) -> &StateMeta {
+        &self.states[i].meta
+    }
+
+    #[inline]
+    fn meta_mut(&mut self, i: usize) -> &mut StateMeta {
+        &mut self.states[i].meta
+    }
+
+    #[inline]
+    fn z(&self, i: usize) -> &[u64] {
+        &self.states[i].z
+    }
+
+    #[inline]
+    fn has_z(&self, i: usize, sets: &Self::Sets) -> bool {
+        self.states[i].z == sets.0
+    }
+
+    #[inline]
+    fn push(&mut self, &(z, scheduled): &Self::Sets, meta: StateMeta) -> u32 {
+        let at = self.states.len() as u32;
+        self.states.push(FixedState { z, scheduled, meta });
+        at
+    }
+
+    #[inline]
+    fn load(&self, i: usize, out: &mut Self::Sets) {
+        *out = (self.states[i].z, self.states[i].scheduled);
+    }
+
+    fn append(&mut self, other: &Self) {
+        self.states.extend_from_slice(&other.states);
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.states.capacity() * std::mem::size_of::<FixedState<W>>()) as u64
+    }
+
+    #[inline]
+    fn alloc_bytes(&self, table: &FixedTable<W>, i: usize, u: NodeId) -> u64 {
+        table.alloc_bytes(&self.states[i].scheduled, u)
+    }
+
+    #[inline]
+    fn free_bytes(&self, table: &FixedTable<W>, i: usize, u: NodeId) -> u64 {
+        table.free_bytes(&self.states[i].scheduled, u)
+    }
+
+    #[inline]
+    fn successor(
+        &self,
+        table: &FixedTable<W>,
+        zobrist: &ZobristTable,
+        i: usize,
+        u: NodeId,
+        out: &mut Self::Sets,
+    ) -> u64 {
+        let (mut z, mut scheduled) = (self.states[i].z, self.states[i].scheduled);
+        wordset::remove(&mut z, u);
+        wordset::insert(&mut scheduled, u);
+        let auto = table.auto_ready(u);
+        for w in 0..W {
+            z[w] |= auto[w];
+        }
+        let mut ready = 0;
+        for (s, mask) in table.succ_edges(u) {
+            if table.mask_ready(&scheduled, mask) {
+                wordset::insert(&mut z, *s);
+                ready ^= zobrist.key(*s);
+            }
+        }
+        *out = (z, scheduled);
+        ready
+    }
+}
+
+/// The layout of graphs past 128 nodes: fixed-size metadata plus one flat
+/// word pool holding each state's `z` and scheduled sets back to back — one
+/// allocation per step, not two `Vec<u64>`s per state.
+#[derive(Debug)]
+struct PooledArena {
+    /// Words per set (⌈|V|/64⌉).
     words: usize,
     /// `2 * words` pool words per state: `z` first, then `scheduled`.
     pool: Vec<u64>,
     meta: Vec<StateMeta>,
 }
 
-impl StepArena {
-    fn new(words: usize) -> Self {
-        StepArena { words, pool: Vec::new(), meta: Vec::new() }
+impl PooledArena {
+    fn scheduled(&self, i: usize) -> &[u64] {
+        let at = (2 * i + 1) * self.words;
+        &self.pool[at..at + self.words]
+    }
+}
+
+impl Arena for PooledArena {
+    type Table = TransitionTable;
+    /// `z` words, then scheduled words.
+    type Sets = Vec<u64>;
+
+    fn table(table: TransitionTable) -> TransitionTable {
+        table
+    }
+
+    fn root(words: usize, z: &[u64], scheduled: &[u64], meta: StateMeta) -> Self {
+        let mut pool = z.to_vec();
+        pool.extend_from_slice(scheduled);
+        PooledArena { words, pool, meta: vec![meta] }
+    }
+
+    fn sibling(&self, states: usize) -> Self {
+        PooledArena {
+            words: self.words,
+            pool: Vec::with_capacity(states * 2 * self.words),
+            meta: Vec::with_capacity(states),
+        }
+    }
+
+    fn scratch(&self) -> Vec<u64> {
+        vec![0; 2 * self.words]
     }
 
     fn len(&self) -> usize {
         self.meta.len()
     }
 
+    fn meta(&self, i: usize) -> &StateMeta {
+        &self.meta[i]
+    }
+
+    fn meta_mut(&mut self, i: usize) -> &mut StateMeta {
+        &mut self.meta[i]
+    }
+
     fn z(&self, i: usize) -> &[u64] {
-        let at = i * 2 * self.words;
+        let at = 2 * i * self.words;
         &self.pool[at..at + self.words]
     }
 
-    /// The state's `(z, scheduled)` word slices.
-    fn sets(&self, i: usize) -> (&[u64], &[u64]) {
-        let at = i * 2 * self.words;
-        self.pool[at..at + 2 * self.words].split_at(self.words)
+    fn has_z(&self, i: usize, sets: &Vec<u64>) -> bool {
+        self.z(i) == &sets[..self.words]
     }
 
-    fn push(&mut self, z: &[u64], scheduled: &[u64], meta: StateMeta) -> u32 {
-        debug_assert_eq!(z.len(), self.words);
-        debug_assert_eq!(scheduled.len(), self.words);
+    fn push(&mut self, sets: &Vec<u64>, meta: StateMeta) -> u32 {
+        debug_assert_eq!(sets.len(), 2 * self.words);
         let at = self.meta.len() as u32;
-        self.pool.extend_from_slice(z);
-        self.pool.extend_from_slice(scheduled);
+        self.pool.extend_from_slice(sets);
         self.meta.push(meta);
         at
     }
 
-    /// Bytes of live signature storage held by this arena.
-    fn pool_bytes(&self) -> u64 {
-        (self.pool.len() * std::mem::size_of::<u64>()) as u64
+    fn load(&self, i: usize, out: &mut Vec<u64>) {
+        let at = 2 * i * self.words;
+        out.copy_from_slice(&self.pool[at..at + 2 * self.words]);
     }
 
-    /// Whether candidate `a` wins an equal-peak tie against `b`, both being
-    /// transitions out of this (parent) arena: the smaller parent signature
-    /// in `(hash, z)` order wins, then the smaller node. Distinct parents
-    /// hold distinct signatures, so this is a total order on candidates.
-    fn wins_tie(&self, a: &StateMeta, b: &StateMeta) -> bool {
-        let (pa, pb) = (a.parent as usize, b.parent as usize);
-        if pa == pb {
-            return a.node < b.node;
+    fn append(&mut self, other: &Self) {
+        self.pool.extend_from_slice(&other.pool);
+        self.meta.extend_from_slice(&other.meta);
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.pool.capacity() * std::mem::size_of::<u64>()
+            + self.meta.capacity() * std::mem::size_of::<StateMeta>()) as u64
+    }
+
+    fn alloc_bytes(&self, table: &TransitionTable, i: usize, u: NodeId) -> u64 {
+        table.alloc_bytes(self.scheduled(i), u)
+    }
+
+    fn free_bytes(&self, table: &TransitionTable, i: usize, u: NodeId) -> u64 {
+        table.free_bytes(self.scheduled(i), u)
+    }
+
+    fn successor(
+        &self,
+        table: &TransitionTable,
+        zobrist: &ZobristTable,
+        i: usize,
+        u: NodeId,
+        out: &mut Vec<u64>,
+    ) -> u64 {
+        self.load(i, out);
+        let (z, scheduled) = out.split_at_mut(self.words);
+        wordset::remove(z, u);
+        wordset::insert(scheduled, u);
+        let auto = table.auto_ready(u);
+        if auto != u32::MAX {
+            wordset::union_into(z, table.mask(auto));
         }
-        let by_parent =
-            self.meta[pa].hash.cmp(&self.meta[pb].hash).then_with(|| self.z(pa).cmp(self.z(pb)));
-        by_parent.is_lt()
+        let mut ready = 0;
+        for &(s, off) in table.succ_edges(u) {
+            if table.mask_ready(scheduled, off) {
+                wordset::insert(z, s);
+                ready ^= zobrist.key(s);
+            }
+        }
+        ready
     }
+}
 
-    /// Shrinks the arena to its backtrack records, dropping the signature
-    /// pool (the compaction step: completed steps only need the parent
-    /// chain). The records get an exact-size allocation of their own; an
-    /// in-place collect would keep the twice-as-large metadata buffer alive
-    /// for the rest of the run.
-    fn into_back_records(self) -> Vec<BackRec> {
-        let mut recs = Vec::with_capacity(self.meta.len());
-        recs.extend(self.meta.iter().map(|m| BackRec {
-            parent: m.parent,
-            node: m.node,
-            peak: m.peak,
-        }));
-        recs
+/// Whether candidate `a` wins an equal-peak tie against `b`, both being
+/// transitions out of `frontier`: the smaller parent signature in
+/// `(hash, z)` order wins, then the smaller node. Distinct parents hold
+/// distinct signatures, so this is a total order on candidates.
+fn wins_tie<A: Arena>(frontier: &A, a: &StateMeta, b: &StateMeta) -> bool {
+    let (pa, pb) = (a.parent as usize, b.parent as usize);
+    if pa == pb {
+        return a.node < b.node;
     }
+    let by_parent = frontier
+        .meta(pa)
+        .hash
+        .cmp(&frontier.meta(pb).hash)
+        .then_with(|| frontier.z(pa).cmp(frontier.z(pb)));
+    by_parent.is_lt()
 }
 
 /// Compact backtrack record of a completed step's state.
@@ -250,17 +511,13 @@ impl StepArena {
 struct BackRec {
     parent: u32,
     node: NodeId,
-    /// Peak of the best prefix reaching the state; kept for diagnostics and
-    /// monotonicity asserts, not needed for reconstruction.
-    #[allow(dead_code)]
-    peak: u64,
 }
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Open-addressing memo index over an arena's states, keyed by the
 /// pre-computed Zobrist hash — lookups never rehash signature words.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SigIndex {
     /// Power-of-two slot array holding arena indices.
     slots: Vec<u32>,
@@ -270,19 +527,37 @@ struct SigIndex {
 
 impl SigIndex {
     fn with_capacity(states: usize) -> Self {
+        let mut index = SigIndex::default();
+        index.reset(states);
+        index
+    }
+
+    /// Empties the index and sizes it for about `states` states, reusing
+    /// its allocation.
+    fn reset(&mut self, states: usize) {
         let cap = (states.max(8) * 2).next_power_of_two();
-        SigIndex { slots: vec![EMPTY_SLOT; cap], mask: cap - 1, len: 0 }
+        self.slots.clear();
+        self.slots.resize(cap, EMPTY_SLOT);
+        self.mask = cap - 1;
+        self.len = 0;
+    }
+
+    /// Heap bytes the index holds.
+    fn bytes(&self) -> u64 {
+        (self.slots.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Re-inserts every arena state into a table twice the size (hashes are
     /// carried in the metadata, so no signature is rehashed).
-    fn grow(&mut self, arena: &StepArena) {
+    #[cold]
+    fn grow<A: Arena>(&mut self, arena: &A) {
         let cap = self.slots.len() * 2;
         self.slots.clear();
         self.slots.resize(cap, EMPTY_SLOT);
         self.mask = cap - 1;
-        for (i, meta) in arena.meta.iter().enumerate() {
-            let mut pos = (meta.hash as usize) & self.mask;
+        for i in 0..arena.len() {
+            let hash = arena.meta(i).hash;
+            let mut pos = (hash as usize) & self.mask;
             while self.slots[pos] != EMPTY_SLOT {
                 pos = (pos + 1) & self.mask;
             }
@@ -293,21 +568,27 @@ impl SigIndex {
 
 /// Inserts a candidate into the next-step arena, keeping the minimum-peak
 /// state per signature (Algorithm 1, lines 21-23). Equal peaks are settled
-/// by [`StepArena::wins_tie`] against `frontier`, the arena the candidate
-/// was expanded from, so the survivor does not depend on arrival order.
-fn merge_candidate(
-    arena: &mut StepArena,
+/// by [`wins_tie`] against `frontier`, the arena the candidate was expanded
+/// from, so the survivor does not depend on arrival order.
+///
+/// `meta.mu` is the footprint right after the allocation; `freed` yields
+/// the bytes freed after it, and runs only when the signature is new — a
+/// known signature already carries its µ.
+#[inline]
+fn merge_candidate<A: Arena>(
+    arena: &mut A,
     index: &mut SigIndex,
-    frontier: &StepArena,
-    z: &[u64],
-    scheduled: &[u64],
-    meta: StateMeta,
+    frontier: &A,
+    sets: &A::Sets,
+    mut meta: StateMeta,
+    freed: impl FnOnce() -> u64,
 ) {
     let mut pos = (meta.hash as usize) & index.mask;
     loop {
         let slot = index.slots[pos];
         if slot == EMPTY_SLOT {
-            let at = arena.push(z, scheduled, meta);
+            meta.mu -= freed();
+            let at = arena.push(sets, meta);
             index.slots[pos] = at;
             index.len += 1;
             if index.len * 4 >= index.slots.len() * 3 {
@@ -318,12 +599,17 @@ fn merge_candidate(
         let at = slot as usize;
         // Hash hit: confirm content equality so Zobrist collisions cannot
         // merge distinct signatures (exactness over probabilism).
-        if arena.meta[at].hash == meta.hash && arena.z(at) == z {
-            let existing = &mut arena.meta[at];
+        if arena.meta(at).hash == meta.hash && arena.has_z(at, sets) {
+            let existing = arena.meta_mut(at);
             // Same signature ⇒ same scheduled set ⇒ same live set ⇒ same µ.
-            debug_assert_eq!(existing.mu, meta.mu, "µ must be a function of the signature");
+            debug_assert_eq!(
+                existing.mu,
+                meta.mu - freed(),
+                "µ must be a function of the signature"
+            );
+            meta.mu = existing.mu;
             if meta.peak < existing.peak
-                || (meta.peak == existing.peak && frontier.wins_tie(&meta, existing))
+                || (meta.peak == existing.peak && wins_tie(frontier, &meta, existing))
             {
                 *existing = meta;
             }
@@ -350,29 +636,24 @@ fn max_viable_of(bound: Option<&BoundHandle>) -> u64 {
     bound.map_or(u64::MAX, BoundHandle::max_viable_peak)
 }
 
-/// Per-run transition data: the shared cost table plus the Zobrist keys
+/// Raises the search-memory high-water mark to `live` bytes and enforces
+/// the context's memory budget against it.
+fn account_memory(
+    stats: &mut ScheduleStats,
+    ctx: &CompileContext,
+    live: u64,
+) -> Result<(), ScheduleError> {
+    stats.peak_memo_bytes = stats.peak_memo_bytes.max(live);
+    ctx.check_memory_budget(stats.peak_memo_bytes)
+}
+
+/// Per-run transition data: the layout's cost table plus the Zobrist keys
 /// successor hashes are folded from.
-struct Moves {
-    table: TransitionTable,
+struct Moves<T> {
+    table: T,
     zobrist: ZobristTable,
     /// Per node, the XOR of its auto-ready successors' Zobrist keys.
     auto_hash: Vec<u64>,
-}
-
-impl Moves {
-    fn new(cost: &CostModel<'_>) -> Self {
-        let table = cost.transition_table();
-        let zobrist = ZobristTable::new(cost.graph().len());
-        let auto_hash = cost
-            .graph()
-            .node_ids()
-            .map(|u| match table.auto_ready(u) {
-                u32::MAX => 0,
-                off => zobrist.hash_words(table.mask(off)),
-            })
-            .collect();
-        Moves { table, zobrist, auto_hash }
-    }
 }
 
 const ROOT: u32 = u32::MAX;
@@ -497,6 +778,8 @@ impl DpScheduler {
         result
     }
 
+    /// Dispatches on set width: graphs of at most 128 nodes take the inline
+    /// `[u64; W]` layout, larger ones the word pool.
     fn search(
         &self,
         graph: &Graph,
@@ -505,39 +788,64 @@ impl DpScheduler {
         stats: &mut ScheduleStats,
     ) -> Result<Schedule, ScheduleError> {
         ctx.check()?;
-        let n = graph.len();
-        if n == 0 {
-            return Ok(Schedule { order: Vec::new(), peak_bytes: 0 });
+        match graph.len().div_ceil(64) {
+            0 => Ok(Schedule { order: Vec::new(), peak_bytes: 0 }),
+            1 => self.search_in::<FixedArena<1>>(graph, prefix, ctx, stats),
+            2 => self.search_in::<FixedArena<2>>(graph, prefix, ctx, stats),
+            _ => self.search_in::<PooledArena>(graph, prefix, ctx, stats),
         }
+    }
 
+    /// The search over states laid out as `A`.
+    fn search_in<A: Arena>(
+        &self,
+        graph: &Graph,
+        prefix: &[NodeId],
+        ctx: &CompileContext,
+        stats: &mut ScheduleStats,
+    ) -> Result<Schedule, ScheduleError> {
+        let n = graph.len();
         let cost = CostModel::new(graph);
-        let moves = Moves::new(&cost);
-        let words = n.div_ceil(64);
-        let mut frontier = self.root_arena(graph, &cost, &moves.zobrist, words, prefix)?;
+        let table = cost.transition_table();
+        let zobrist = ZobristTable::new(n);
+        let auto_hash = graph
+            .node_ids()
+            .map(|u| match table.auto_ready(u) {
+                u32::MAX => 0,
+                off => zobrist.hash_words(table.mask(off)),
+            })
+            .collect();
+        let words = table.words();
+        let moves = Moves { table: A::table(table), zobrist, auto_hash };
+        let mut frontier: A = self.root_arena(graph, &cost, &moves.zobrist, words, prefix)?;
         if let Some(budget) = self.config.budget {
-            if frontier.meta[0].peak > budget {
+            if frontier.meta(0).peak > budget {
                 return Err(ScheduleError::NoSolution { budget });
             }
         }
         if let Some(bound) = ctx.bound() {
-            if frontier.meta[0].peak > bound.max_viable_peak() {
+            if frontier.meta(0).peak > bound.max_viable_peak() {
                 return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
             }
         }
 
         stats.states = 1;
-        stats.peak_memo_bytes = frontier.pool_bytes();
+        stats.peak_memo_bytes = frontier.bytes();
         // Compacted backtrack records of completed steps; index k holds the
         // arena of step k (after k transitions past the prefix).
         let mut back: Vec<Vec<BackRec>> = Vec::new();
+        let mut record_bytes = 0u64;
+        // The serial memo index, reused from step to step.
+        let mut index = SigIndex::default();
         let remaining = n - prefix.len();
 
         for step in 0..remaining {
             let step_started = Instant::now();
             let next = if self.config.threads > 1 && frontier.len() >= PARALLEL_THRESHOLD {
-                self.expand_parallel(&moves, &frontier, step, step_started, stats, ctx)?
+                let held = record_bytes + index.bytes();
+                self.expand_parallel(&moves, &frontier, held, step, step_started, stats, ctx)?
             } else {
-                self.expand_serial(&moves, &frontier, step, step_started, stats, ctx)?
+                self.expand_serial(&moves, &frontier, &mut index, step, step_started, stats, ctx)?
             };
             if next.len() == 0 {
                 let budget = self.config.budget.unwrap_or(u64::MAX);
@@ -555,18 +863,22 @@ impl DpScheduler {
             }
             stats.states += next.len() as u64;
             stats.steps = step + 1;
-            stats.peak_memo_bytes =
-                stats.peak_memo_bytes.max(frontier.pool_bytes() + next.pool_bytes());
-            ctx.check_memory_budget(stats.peak_memo_bytes)?;
+            let live = record_bytes + index.bytes() + frontier.bytes() + next.bytes();
+            account_memory(stats, ctx, live)?;
             // Compaction: the expanded step only needs its parent chain.
-            back.push(frontier.into_back_records());
+            let records = frontier.into_back_records();
+            record_bytes += std::mem::size_of_val(records.as_slice()) as u64;
+            back.push(records);
             frontier = next;
         }
 
         // All nodes scheduled: the final arena holds exactly one state with
         // an empty signature (Algorithm 1, line 27).
         debug_assert_eq!(frontier.len(), 1, "final signature must be unique");
-        let best = frontier.meta.iter().min_by_key(|m| m.peak).expect("final arena is non-empty");
+        let best = *(0..frontier.len())
+            .map(|i| frontier.meta(i))
+            .min_by_key(|m| m.peak)
+            .expect("final arena is non-empty");
 
         let mut order = Vec::with_capacity(n);
         if remaining > 0 {
@@ -591,14 +903,14 @@ impl DpScheduler {
         Ok(schedule)
     }
 
-    fn root_arena(
+    fn root_arena<A: Arena>(
         &self,
         graph: &Graph,
         cost: &CostModel<'_>,
         zobrist: &ZobristTable,
         words: usize,
         prefix: &[NodeId],
-    ) -> Result<StepArena, ScheduleError> {
+    ) -> Result<A, ScheduleError> {
         let mut scheduled = NodeSet::with_capacity(graph.len());
         let mut tracker = FootprintTracker::new(graph);
         for (i, &u) in prefix.iter().enumerate() {
@@ -621,41 +933,36 @@ impl DpScheduler {
                 z.insert(u);
             }
         }
-        let mut arena = StepArena::new(words);
         let mut z_words = vec![0u64; words];
         let mut s_words = vec![0u64; words];
         z_words[..z.as_words().len()].copy_from_slice(z.as_words());
         s_words[..scheduled.as_words().len()].copy_from_slice(scheduled.as_words());
-        arena.push(
-            &z_words,
-            &s_words,
-            StateMeta {
-                hash: zobrist.hash_set(&z),
-                mu: tracker.current_bytes(),
-                peak: tracker.peak_bytes(),
-                parent: ROOT,
-                node: NodeId::from_index(0),
-            },
-        );
-        Ok(arena)
+        let meta = StateMeta {
+            hash: zobrist.hash_set(&z),
+            mu: tracker.current_bytes(),
+            peak: tracker.peak_bytes(),
+            parent: ROOT,
+            node: NodeId::from_index(0),
+        };
+        Ok(A::root(words, &z_words, &s_words, meta))
     }
 
     /// Applies the Figure 6 step for every `(state, u ∈ z)` pair of the
     /// frontier, merging candidates into the next arena as they appear.
-    fn expand_serial(
+    #[allow(clippy::too_many_arguments)]
+    fn expand_serial<A: Arena>(
         &self,
-        moves: &Moves,
-        frontier: &StepArena,
+        moves: &Moves<A::Table>,
+        frontier: &A,
+        index: &mut SigIndex,
         step: usize,
         step_started: Instant,
         stats: &mut ScheduleStats,
         ctx: &CompileContext,
-    ) -> Result<StepArena, ScheduleError> {
-        let words = frontier.words;
-        let mut arena = StepArena::new(words);
-        arena.pool.reserve(frontier.pool.len());
-        let mut index = SigIndex::with_capacity(frontier.len());
-        let mut scratch = vec![0u64; 2 * words];
+    ) -> Result<A, ScheduleError> {
+        let mut arena = frontier.sibling(frontier.len());
+        index.reset(frontier.len());
+        let mut sets = frontier.scratch();
         let bound = ctx.bound();
         let mut max_viable = max_viable_of(bound);
         let mut transitions = 0u64;
@@ -663,9 +970,8 @@ impl DpScheduler {
         let mut bound_pruned = 0u64;
         let mut aborted = Ok(());
         'sweep: for si in 0..frontier.len() {
-            let (z, scheduled) = frontier.sets(si);
-            let meta = frontier.meta[si];
-            for u in wordset::iter(z) {
+            let meta = *frontier.meta(si);
+            for u in wordset::iter(frontier.z(si)) {
                 transitions += 1;
                 if transitions & TIMEOUT_CHECK_MASK == 0 {
                     aborted = self.check_limits(step, step_started, arena.len(), ctx);
@@ -676,19 +982,10 @@ impl DpScheduler {
                     // cadence is sound; a stale value merely prunes less.
                     max_viable = max_viable_of(bound);
                 }
-                match self.transition(
-                    moves,
-                    z,
-                    scheduled,
-                    &meta,
-                    si as u32,
-                    u,
-                    max_viable,
-                    &mut scratch,
-                ) {
+                match self.transition(moves, frontier, &meta, si, u, max_viable, &mut sets) {
                     Ok(candidate) => {
-                        let (cz, cs) = scratch.split_at(words);
-                        merge_candidate(&mut arena, &mut index, frontier, cz, cs, candidate);
+                        let freed = || frontier.free_bytes(&moves.table, si, u);
+                        merge_candidate(&mut arena, index, frontier, &sets, candidate, freed);
                     }
                     Err(Pruned::Budget) => pruned += 1,
                     Err(Pruned::Bound) => bound_pruned += 1,
@@ -708,37 +1005,37 @@ impl DpScheduler {
     /// signature hash, each shard is merged independently (a signature lands
     /// in exactly one shard), and the shard arenas are concatenated. The
     /// merge keeps the same survivor per signature as a serial sweep because
-    /// tie-breaks are intrinsic ([`StepArena::wins_tie`]); only the arena
-    /// order differs, and no output depends on it.
-    fn expand_parallel(
+    /// tie-breaks are intrinsic ([`wins_tie`]); only the arena order
+    /// differs, and no output depends on it. `held` is the search memory
+    /// live outside this step (backtrack records, the serial index).
+    #[allow(clippy::too_many_arguments)]
+    fn expand_parallel<A: Arena>(
         &self,
-        moves: &Moves,
-        frontier: &StepArena,
+        moves: &Moves<A::Table>,
+        frontier: &A,
+        held: u64,
         step: usize,
         step_started: Instant,
         stats: &mut ScheduleStats,
         ctx: &CompileContext,
-    ) -> Result<StepArena, ScheduleError> {
-        let words = frontier.words;
+    ) -> Result<A, ScheduleError> {
         let threads = self.config.threads.min(frontier.len());
         let shards = threads.next_power_of_two();
         let chunk_size = frontier.len().div_ceil(threads);
 
         // Phase 1: generate candidates, bucketed by hash shard. Blocks are
-        // plain `StepArena`s holding the worker's candidates (duplicates and
-        // all) in transition order; only phase 2 deduplicates. Counters come
+        // plain arenas holding the worker's candidates (duplicates and all)
+        // in transition order; only phase 2 deduplicates. Counters come
         // back even from an aborted worker, so a failed run reports its work.
-        type ChunkResult = (Result<Vec<StepArena>, ScheduleError>, u64, u64, u64);
-        let results: Vec<ChunkResult> = std::thread::scope(|scope| {
-            let frontier = &frontier;
+        type ChunkResult<A> = (Result<Vec<A>, ScheduleError>, u64, u64, u64);
+        let results: Vec<ChunkResult<A>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|ci| {
                     let base = ci * chunk_size;
                     let end = ((ci + 1) * chunk_size).min(frontier.len());
-                    scope.spawn(move || -> ChunkResult {
-                        let mut blocks: Vec<StepArena> =
-                            (0..shards).map(|_| StepArena::new(words)).collect();
-                        let mut scratch = vec![0u64; 2 * words];
+                    scope.spawn(move || -> ChunkResult<A> {
+                        let mut blocks: Vec<A> = (0..shards).map(|_| frontier.sibling(0)).collect();
+                        let mut sets = frontier.scratch();
                         let bound = ctx.bound();
                         let mut max_viable = max_viable_of(bound);
                         let mut transitions = 0u64;
@@ -746,9 +1043,8 @@ impl DpScheduler {
                         let mut bound_pruned = 0u64;
                         let mut emitted = 0usize;
                         for si in base..end {
-                            let (z, scheduled) = frontier.sets(si);
-                            let meta = frontier.meta[si];
-                            for u in wordset::iter(z) {
+                            let meta = *frontier.meta(si);
+                            for u in wordset::iter(frontier.z(si)) {
                                 transitions += 1;
                                 if transitions & TIMEOUT_CHECK_MASK == 0 {
                                     if let Err(e) =
@@ -759,19 +1055,12 @@ impl DpScheduler {
                                     max_viable = max_viable_of(bound);
                                 }
                                 match self.transition(
-                                    moves,
-                                    z,
-                                    scheduled,
-                                    &meta,
-                                    si as u32,
-                                    u,
-                                    max_viable,
-                                    &mut scratch,
+                                    moves, frontier, &meta, si, u, max_viable, &mut sets,
                                 ) {
-                                    Ok(candidate) => {
+                                    Ok(mut candidate) => {
+                                        candidate.mu -= frontier.free_bytes(&moves.table, si, u);
                                         let shard = shard_of(candidate.hash, shards);
-                                        let (cz, cs) = scratch.split_at(words);
-                                        blocks[shard].push(cz, cs, candidate);
+                                        blocks[shard].push(&sets, candidate);
                                         emitted += 1;
                                     }
                                     Err(Pruned::Budget) => pruned += 1,
@@ -786,7 +1075,7 @@ impl DpScheduler {
             handles.into_iter().map(|h| h.join().expect("worker does not panic")).collect()
         });
 
-        let mut worker_blocks: Vec<Vec<StepArena>> = Vec::with_capacity(threads);
+        let mut worker_blocks: Vec<Vec<A>> = Vec::with_capacity(threads);
         let mut candidate_bytes = 0u64;
         let mut aborted = Ok(());
         for (blocks, transitions, pruned, bound_pruned) in results {
@@ -795,7 +1084,7 @@ impl DpScheduler {
             stats.bound_pruned += bound_pruned;
             match blocks {
                 Ok(blocks) => {
-                    candidate_bytes += blocks.iter().map(StepArena::pool_bytes).sum::<u64>();
+                    candidate_bytes += blocks.iter().map(A::bytes).sum::<u64>();
                     worker_blocks.push(blocks);
                 }
                 Err(e) => aborted = aborted.and(Err(e)),
@@ -805,24 +1094,31 @@ impl DpScheduler {
         ctx.check()?;
 
         // Phase 2: merge each shard independently.
-        let shard_arenas: Vec<StepArena> = std::thread::scope(|scope| {
+        let shard_arenas: Vec<(A, u64)> = std::thread::scope(|scope| {
             let worker_blocks = &worker_blocks;
             let handles: Vec<_> = (0..shards)
                 .map(|shard| {
                     scope.spawn(move || {
-                        let total: usize = worker_blocks.iter().map(|b| b[shard].meta.len()).sum();
-                        let mut arena = StepArena::new(words);
+                        let total: usize = worker_blocks.iter().map(|b| b[shard].len()).sum();
+                        let mut arena = frontier.sibling(0);
                         let mut index = SigIndex::with_capacity(total / 2 + 1);
+                        let mut sets = frontier.scratch();
                         for blocks in worker_blocks {
                             let block = &blocks[shard];
-                            for (i, &meta) in block.meta.iter().enumerate() {
-                                let (z, scheduled) = block.sets(i);
+                            for i in 0..block.len() {
+                                block.load(i, &mut sets);
+                                let meta = *block.meta(i);
                                 merge_candidate(
-                                    &mut arena, &mut index, frontier, z, scheduled, meta,
+                                    &mut arena,
+                                    &mut index,
+                                    frontier,
+                                    &sets,
+                                    meta,
+                                    || 0,
                                 );
                             }
                         }
-                        arena
+                        (arena, index.bytes())
                     })
                 })
                 .collect();
@@ -830,48 +1126,45 @@ impl DpScheduler {
         });
 
         // Phase 3: concatenate the shard arenas.
-        let states: usize = shard_arenas.iter().map(StepArena::len).sum();
-        let mut merged = StepArena::new(words);
-        merged.pool.reserve(states * 2 * words);
-        merged.meta.reserve(states);
-        for arena in &shard_arenas {
-            merged.pool.extend_from_slice(&arena.pool);
-            merged.meta.extend_from_slice(&arena.meta);
+        let states: usize = shard_arenas.iter().map(|(arena, _)| arena.len()).sum();
+        let mut merged = frontier.sibling(states);
+        for (arena, _) in &shard_arenas {
+            merged.append(arena);
         }
-        // High-water mark of live signature storage: the concatenated arena
-        // is built while the frontier, the candidate blocks, and the shard
-        // arenas are all still allocated.
-        let shard_bytes = shard_arenas.iter().map(StepArena::pool_bytes).sum::<u64>();
-        stats.peak_memo_bytes = stats
-            .peak_memo_bytes
-            .max(frontier.pool_bytes() + candidate_bytes + shard_bytes + merged.pool_bytes());
-        ctx.check_memory_budget(stats.peak_memo_bytes)?;
+        // High-water mark: the concatenated arena is built while the
+        // frontier, the candidate blocks and the shard arenas are all still
+        // allocated (the shard indexes were live during phase 2; counting
+        // them here too keeps the figure an upper bound).
+        let shard_bytes: u64 =
+            shard_arenas.iter().map(|(arena, index)| arena.bytes() + index).sum();
+        let live = held + frontier.bytes() + candidate_bytes + shard_bytes + merged.bytes();
+        account_memory(stats, ctx, live)?;
         self.check_limits(step, step_started, merged.len(), ctx)?;
         Ok(merged)
     }
 
-    /// Applies the Figure 6 step through the shared transition table:
-    /// allocate `u`, update the peak, free dead predecessors, build the
-    /// successor signature in `scratch` (`z'` then `scheduled'`), and fold
-    /// `u` and the newly ready successors into the Zobrist hash. Returns the
-    /// prune kind when the transition is discarded: running peaks are
-    /// monotone along a schedule path, so a state whose peak already exceeds
-    /// the soft budget (or provably loses to the incumbent bound's
-    /// `max_viable` peak) can never recover.
+    /// Applies the Figure 6 step to state `si` of `frontier`: allocate `u`,
+    /// update the peak, build the successor sets in `sets`, and fold `u` and
+    /// the newly ready successors into the Zobrist hash. The returned `mu`
+    /// is the footprint right after the allocation: the caller subtracts
+    /// the freed bytes ([`Arena::free_bytes`]) once it needs the µ of a new
+    /// signature. Returns the prune kind when the transition is discarded:
+    /// running peaks are monotone along a schedule path, so a state whose
+    /// peak already exceeds the soft budget (or provably loses to the
+    /// incumbent bound's `max_viable` peak) can never recover.
     #[allow(clippy::too_many_arguments)]
-    fn transition(
+    #[inline]
+    fn transition<A: Arena>(
         &self,
-        moves: &Moves,
-        z: &[u64],
-        scheduled: &[u64],
+        moves: &Moves<A::Table>,
+        frontier: &A,
         meta: &StateMeta,
-        parent: u32,
+        si: usize,
         u: NodeId,
         max_viable: u64,
-        scratch: &mut [u64],
+        sets: &mut A::Sets,
     ) -> Result<StateMeta, Pruned> {
-        let table = &moves.table;
-        let mu_after_alloc = meta.mu + table.alloc_bytes(scheduled, u);
+        let mu_after_alloc = meta.mu + frontier.alloc_bytes(&moves.table, si, u);
         let peak = meta.peak.max(mu_after_alloc);
         if let Some(budget) = self.config.budget {
             if peak > budget {
@@ -881,25 +1174,9 @@ impl DpScheduler {
         if peak > max_viable {
             return Err(Pruned::Bound);
         }
-        let mu = mu_after_alloc - table.free_bytes(scheduled, u);
-        let words = z.len();
-        let (sz, ss) = scratch.split_at_mut(words);
-        sz.copy_from_slice(z);
-        ss.copy_from_slice(scheduled);
-        wordset::remove(sz, u);
-        wordset::insert(ss, u);
-        let mut hash = meta.hash ^ moves.zobrist.key(u) ^ moves.auto_hash[u.index()];
-        let auto = table.auto_ready(u);
-        if auto != u32::MAX {
-            wordset::union_into(sz, table.mask(auto));
-        }
-        for &(s, off) in table.succ_edges(u) {
-            if table.mask_ready(ss, off) {
-                wordset::insert(sz, s);
-                hash ^= moves.zobrist.key(s);
-            }
-        }
-        Ok(StateMeta { hash, mu, peak, parent, node: u })
+        let ready = frontier.successor(&moves.table, &moves.zobrist, si, u, sets);
+        let hash = meta.hash ^ moves.zobrist.key(u) ^ moves.auto_hash[u.index()] ^ ready;
+        Ok(StateMeta { hash, mu: mu_after_alloc, peak, parent: si as u32, node: u })
     }
 
     fn check_limits(
@@ -1041,27 +1318,33 @@ mod tests {
                 ..Default::default()
             };
             let g = serenity_ir::random_dag::random_dag(&config, &mut rng);
-            let serial = DpScheduler::new().schedule(&g).unwrap();
-            let parallel = DpScheduler::new().threads(4).schedule(&g).unwrap();
-            assert_eq!(serial.schedule.peak_bytes, parallel.schedule.peak_bytes);
-            // Equal-peak ties are broken by a key intrinsic to each
-            // candidate, so parallel runs reconstruct the *same* order, not
-            // just the same peak, whatever order the shards merge in.
-            assert_eq!(serial.schedule.order, parallel.schedule.order);
+            // Both fixed widths: the graph as drawn, and padded past 64 nodes.
+            for g in [g.clone(), with_tail(g, 100)] {
+                let serial = DpScheduler::new().schedule(&g).unwrap();
+                let parallel = DpScheduler::new().threads(4).schedule(&g).unwrap();
+                assert_eq!(serial.schedule.peak_bytes, parallel.schedule.peak_bytes);
+                // Equal-peak ties are broken by a key intrinsic to each
+                // candidate, so parallel runs reconstruct the *same* order,
+                // not just the same peak, whatever order the shards merge in.
+                assert_eq!(serial.schedule.order, parallel.schedule.order);
+            }
         }
     }
 
     #[test]
     fn sharded_merge_kicks_in_and_is_serial_equal() {
         // 12 independent branches: the frontier peaks at C(12,6) = 924
-        // states, well past PARALLEL_THRESHOLD, so the sharded path runs.
+        // states, well past PARALLEL_THRESHOLD, so the sharded path runs —
+        // at both fixed widths.
         let g = serenity_ir::random_dag::independent_branches(12, 10);
-        let serial = DpScheduler::new().schedule(&g).unwrap();
-        let parallel = DpScheduler::new().threads(4).schedule(&g).unwrap();
-        assert_eq!(serial.schedule.order, parallel.schedule.order);
-        assert_eq!(serial.schedule.peak_bytes, parallel.schedule.peak_bytes);
-        assert_eq!(serial.stats.states, parallel.stats.states);
-        assert_eq!(serial.stats.transitions, parallel.stats.transitions);
+        for g in [g.clone(), with_tail(g, 100)] {
+            let serial = DpScheduler::new().schedule(&g).unwrap();
+            let parallel = DpScheduler::new().threads(4).schedule(&g).unwrap();
+            assert_eq!(serial.schedule.order, parallel.schedule.order);
+            assert_eq!(serial.schedule.peak_bytes, parallel.schedule.peak_bytes);
+            assert_eq!(serial.stats.states, parallel.stats.states);
+            assert_eq!(serial.stats.transitions, parallel.stats.transitions);
+        }
     }
 
     #[test]
@@ -1088,23 +1371,66 @@ mod tests {
         g
     }
 
+    /// Bytes of one compacted backtrack record.
+    const RECORD_BYTES: u64 = std::mem::size_of::<BackRec>() as u64;
+
+    /// A generous bound on the live frontier of `chain_of_diamonds` (at
+    /// most three states per step, their arenas and the memo index).
+    const DIAMOND_FRONTIER_BYTES: u64 = 4096;
+
     #[test]
     fn completed_steps_do_not_retain_signatures() {
+        // 301 nodes: the pooled layout, 5 words per set.
         let g = chain_of_diamonds(100);
         let dp = DpScheduler::new().schedule(&g).unwrap();
         let words = g.len().div_ceil(64) as u64;
         // Retaining every memoized state's two bitsets until reconstruction
-        // would hold `states × 2 × words × 8` bytes at once; compaction keeps
-        // only the live frontier's signatures (≤ 3 states per step here plus
-        // the step being built), far below that.
+        // would hold `states × 2 × words × 8` bytes at once. Compaction keeps
+        // an 8-byte backtrack record per completed state plus the live
+        // frontier's signatures (≤ 3 states per step here plus the step
+        // being built), far below that.
         let full_retention = dp.stats.states * 2 * words * 8;
         assert!(
-            dp.stats.peak_memo_bytes <= full_retention / 10,
+            dp.stats.peak_memo_bytes <= dp.stats.states * RECORD_BYTES + DIAMOND_FRONTIER_BYTES,
+            "peak memo {} for {} states",
+            dp.stats.peak_memo_bytes,
+            dp.stats.states
+        );
+        assert!(
+            dp.stats.peak_memo_bytes <= full_retention / 5,
             "peak memo {} vs full retention {}",
             dp.stats.peak_memo_bytes,
             full_retention
         );
         assert!(topo::is_order(&g, &dp.schedule.order));
+    }
+
+    #[test]
+    fn memory_budget_counts_everything_the_search_holds() {
+        use crate::backend::{CompileContext, CompileOptions};
+        // 61 nodes, the one-word layout. Its frontier never exceeds two
+        // states, so its signature words alone peak at 3 states × 2 sets ×
+        // 8 B = 48 B; the backtrack records of its ~80 states, the arenas
+        // and the memo index hold far more. A budget between the two
+        // figures must trip.
+        let g = chain_of_diamonds(20);
+        let signature_words = 3 * 2 * 8;
+        let budget = 8 * signature_words;
+        let free = DpScheduler::new().schedule(&g).unwrap();
+        assert!(free.stats.peak_memo_bytes > budget, "{}", free.stats.peak_memo_bytes);
+        assert!(free.stats.peak_memo_bytes >= (free.stats.states - 2) * RECORD_BYTES);
+        let ctx = CompileContext::new(CompileOptions::default().memory_budget(budget));
+        let err = DpScheduler::new().schedule_with_prefix_ctx(&g, &[], &ctx).unwrap_err();
+        assert!(
+            matches!(err, ScheduleError::MemoryBudgetExceeded { budget: b, .. } if b == budget),
+            "{err:?}"
+        );
+        // A budget at the reported figure admits the run unchanged.
+        let roomy = free.stats.peak_memo_bytes;
+        let ctx = CompileContext::new(CompileOptions::default().memory_budget(roomy));
+        let budgeted = DpScheduler::new().schedule_with_prefix_ctx(&g, &[], &ctx).unwrap();
+        assert_eq!(budgeted.schedule, free.schedule);
+        assert_eq!(budgeted.stats.peak_memo_bytes, roomy);
     }
 
     #[test]
@@ -1220,38 +1546,44 @@ mod tests {
         assert!(matches!(err, ScheduleError::NoSolution { .. }));
     }
 
-    #[test]
-    fn equal_peak_survivor_is_independent_of_arrival_order() {
+    /// The survivor of merging `candidates` (all reaching one signature)
+    /// forward and in reverse, over layout `A`; both orders must agree.
+    fn survivor<A: Arena>(candidates: &[StateMeta]) -> (u32, usize, u64) {
         // Three parents, two sharing a hash so the tie falls through to
-        // their z words; every candidate reaches the same signature.
-        let mut frontier = StepArena::new(1);
-        for (z, hash) in [(0b0011u64, 7u64), (0b0110, 3), (0b0101, 3)] {
+        // their z words.
+        let parent = |z: u64, hash: u64| {
             let meta =
                 StateMeta { hash, mu: 0, peak: 0, parent: ROOT, node: NodeId::from_index(0) };
-            frontier.push(&[z], &[0], meta);
-        }
+            A::root(1, &[z], &[0], meta)
+        };
+        let mut frontier = parent(0b0011, 7);
+        frontier.append(&parent(0b0110, 3));
+        frontier.append(&parent(0b0101, 3));
+        let target = parent(0b1000, 0);
+        let mut sets = target.scratch();
+        target.load(0, &mut sets);
+        let merge = |candidates: &mut dyn Iterator<Item = &StateMeta>| {
+            let mut arena = frontier.sibling(0);
+            let mut index = SigIndex::with_capacity(1);
+            for &c in candidates {
+                merge_candidate(&mut arena, &mut index, &frontier, &sets, c, || 0);
+            }
+            assert_eq!(arena.len(), 1);
+            *arena.meta(0)
+        };
+        let (f, r) = (merge(&mut candidates.iter()), merge(&mut candidates.iter().rev()));
+        assert_eq!((f.parent, f.node, f.peak), (r.parent, r.node, r.peak));
+        (f.parent, f.node.index(), f.peak)
+    }
+
+    #[test]
+    fn equal_peak_survivor_is_independent_of_arrival_order() {
         let candidate = |parent: u32, node: usize, peak: u64| StateMeta {
             hash: 99,
             mu: 5,
             peak,
             parent,
             node: NodeId::from_index(node),
-        };
-        let survivor = |candidates: &[StateMeta]| {
-            let mut forward = StepArena::new(1);
-            let mut index = SigIndex::with_capacity(1);
-            for &c in candidates {
-                merge_candidate(&mut forward, &mut index, &frontier, &[0b1000], &[0b0111], c);
-            }
-            let mut reversed = StepArena::new(1);
-            let mut index = SigIndex::with_capacity(1);
-            for &c in candidates.iter().rev() {
-                merge_candidate(&mut reversed, &mut index, &frontier, &[0b1000], &[0b0111], c);
-            }
-            assert_eq!((forward.len(), reversed.len()), (1, 1));
-            let (f, r) = (forward.meta[0], reversed.meta[0]);
-            assert_eq!((f.parent, f.node, f.peak), (r.parent, r.node, r.peak));
-            (f.parent, f.node.index(), f.peak)
         };
         let tied = [
             candidate(0, 2, 10),
@@ -1260,13 +1592,17 @@ mod tests {
             candidate(2, 0, 10),
             candidate(1, 1, 10),
         ];
-        // Smallest parent (hash, z) is parent 2 (hash 3, z 0b0101); then
-        // its smaller node.
-        assert_eq!(survivor(&tied), (2, 0, 10));
-        // A strictly lower peak beats every tie-break.
         let mut lower = tied.to_vec();
         lower.push(candidate(0, 3, 9));
-        assert_eq!(survivor(&lower), (0, 3, 9));
+        for survivor in
+            [survivor::<FixedArena<1>>, survivor::<FixedArena<2>>, survivor::<PooledArena>]
+        {
+            // Smallest parent (hash, z) is parent 2 (hash 3, z 0b0101); then
+            // its smaller node.
+            assert_eq!(survivor(&tied), (2, 0, 10));
+            // A strictly lower peak beats every tie-break.
+            assert_eq!(survivor(&lower), (0, 3, 9));
+        }
     }
 
     #[test]
@@ -1310,16 +1646,192 @@ mod tests {
 
     #[test]
     fn memo_high_water_mark_is_depth_independent() {
-        // Doubling the depth multiplies the word width by ~2 (more nodes)
-        // but must not multiply the high-water mark by the depth factor:
-        // the frontier stays O(1) states wide.
-        let shallow = DpScheduler::new().schedule(&chain_of_diamonds(60)).unwrap();
-        let deep = DpScheduler::new().schedule(&chain_of_diamonds(120)).unwrap();
+        // Doubling the depth doubles the states, and with them the 8-byte
+        // backtrack records; everything else the search holds — the live
+        // frontier's signatures, the arenas and the memo index — stays O(1)
+        // states wide although each signature gets twice the words.
+        let shallow = DpScheduler::new().schedule(&chain_of_diamonds(60)).unwrap().stats;
+        let deep = DpScheduler::new().schedule(&chain_of_diamonds(120)).unwrap().stats;
+        for stats in [&shallow, &deep] {
+            assert!(
+                stats.peak_memo_bytes <= stats.states * RECORD_BYTES + DIAMOND_FRONTIER_BYTES,
+                "peak memo {} for {} states",
+                stats.peak_memo_bytes,
+                stats.states
+            );
+        }
         assert!(
-            deep.stats.peak_memo_bytes <= shallow.stats.peak_memo_bytes * 3,
+            deep.peak_memo_bytes - shallow.peak_memo_bytes
+                <= (deep.states - shallow.states) * RECORD_BYTES + DIAMOND_FRONTIER_BYTES,
             "deep {} vs shallow {}",
-            deep.stats.peak_memo_bytes,
-            shallow.stats.peak_memo_bytes
+            deep.peak_memo_bytes,
+            shallow.peak_memo_bytes
         );
+    }
+
+    /// `g` with a chain appended until it has `total` nodes: the first link
+    /// consumes every sink of `g`, each later link only the one before it.
+    fn with_tail(mut g: Graph, total: usize) -> Graph {
+        let mut last: Vec<NodeId> = g.node_ids().filter(|&u| g.outdegree(u) == 0).collect();
+        for i in g.len()..total {
+            let bytes = 1 + (i as u64 * 37) % 64;
+            last = vec![g.add_opaque(format!("tail{i}"), bytes, &last).unwrap()];
+        }
+        for &u in &last {
+            g.mark_output(u);
+        }
+        g
+    }
+
+    /// `g` behind a chain that pads it to `total` nodes: the chain's last
+    /// link feeds every source of `g`, so `g`'s own nodes — its branching
+    /// and multi-predecessor joins — take the highest ids.
+    fn with_head(g: &Graph, total: usize) -> Graph {
+        let offset = total - g.len();
+        let mut padded = Graph::new(g.name());
+        let mut last = Vec::new();
+        for i in 0..offset {
+            let bytes = 1 + (i as u64 * 37) % 64;
+            last = vec![padded.add_opaque(format!("head{i}"), bytes, &last).unwrap()];
+        }
+        for u in g.node_ids() {
+            let shift = |p: &NodeId| NodeId::from_index(p.index() + offset);
+            let mut preds: Vec<NodeId> = g.preds(u).iter().map(shift).collect();
+            if preds.is_empty() {
+                preds.clone_from(&last);
+            }
+            padded.add_opaque(g.node(u).name.clone(), g.out_bytes(u), &preds).unwrap();
+        }
+        for u in g.outputs() {
+            padded.mark_output(NodeId::from_index(u.index() + offset));
+        }
+        padded
+    }
+
+    /// A run's result with the wall-clock part of a state-cap abort (its
+    /// elapsed time) dropped, so two runs compare exactly.
+    fn outcome(result: Result<Schedule, ScheduleError>) -> Result<Schedule, String> {
+        result.map_err(|e| match e {
+            ScheduleError::Timeout { step, .. } => format!("timeout at step {step}"),
+            e => format!("{e:?}"),
+        })
+    }
+
+    /// The search over layout `A`, bypassing the width dispatch.
+    fn run_as<A: Arena>(
+        dp: &DpScheduler,
+        g: &Graph,
+        prefix: &[NodeId],
+        ctx: &CompileContext,
+    ) -> (Result<Schedule, String>, [u64; 5]) {
+        let mut stats = ScheduleStats::default();
+        let result = outcome(dp.search_in::<A>(g, prefix, ctx, &mut stats));
+        let counters =
+            [stats.states, stats.transitions, stats.pruned, stats.bound_pruned, stats.steps as u64];
+        (result, counters)
+    }
+
+    /// Runs `dp` on `g` through the width dispatch and through the pooled
+    /// layout (and, for one-word graphs, the two-word layout too), and
+    /// asserts equal results and counters. Returns the dispatched result.
+    fn assert_layouts_agree(
+        dp: &DpScheduler,
+        g: &Graph,
+        prefix: &[NodeId],
+        ctx: &CompileContext,
+    ) -> Result<Schedule, String> {
+        let fixed = if g.len() <= 64 {
+            let one = run_as::<FixedArena<1>>(dp, g, prefix, ctx);
+            assert_eq!(one, run_as::<FixedArena<2>>(dp, g, prefix, ctx), "one vs two words");
+            one
+        } else {
+            run_as::<FixedArena<2>>(dp, g, prefix, ctx)
+        };
+        let pooled = run_as::<PooledArena>(dp, g, prefix, ctx);
+        assert_eq!(fixed, pooled, "{} nodes, prefix {prefix:?}, {:?}", g.len(), dp.config());
+        let dispatched = outcome(dp.run(g, prefix, ctx, &mut ScheduleStats::default()));
+        assert_eq!(dispatched, fixed.0);
+        dispatched
+    }
+
+    /// Every layout agrees on `g` with and without a pinned prefix, at 1, 2
+    /// and 4 threads: unconstrained, with τ below, at and above µ*, under a
+    /// weak and a tie-winning incumbent bound, and with a state cap that
+    /// trips.
+    fn assert_layouts_agree_on(g: &Graph) {
+        use crate::backend::{BoundHandle, CompileContext};
+        let unconstrained = CompileContext::unconstrained();
+        let pinned = topo::kahn(g)[..2].to_vec();
+        for prefix in [&[][..], &pinned[..]] {
+            let free = DpScheduler::new().schedule_with_prefix(g, prefix).unwrap();
+            let optimum = free.schedule.peak_bytes;
+            for threads in [1, 2, 4] {
+                let dp = DpScheduler::new().threads(threads);
+                let schedule = assert_layouts_agree(&dp, g, prefix, &unconstrained);
+                assert_eq!(schedule, Ok(free.schedule.clone()));
+                for tau in [optimum - 1, optimum, optimum + optimum / 2] {
+                    let budgeted = dp.clone().budget(tau);
+                    let result = assert_layouts_agree(&budgeted, g, prefix, &unconstrained);
+                    assert_eq!(result.is_ok(), tau >= optimum);
+                }
+                for (bound, solves) in [
+                    (BoundHandle::seeded_weak(optimum), true),
+                    (BoundHandle::seeded_incumbent(optimum), false),
+                ] {
+                    let ctx = CompileContext::unconstrained().with_bound(Some(bound));
+                    assert_eq!(assert_layouts_agree(&dp, g, prefix, &ctx).is_ok(), solves);
+                }
+                // A cap of one state trips at the first branching step.
+                let capped = dp.clone().max_states(1);
+                let result = assert_layouts_agree(&capped, g, prefix, &unconstrained);
+                assert!(result.unwrap_err().starts_with("timeout"));
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_layouts_match_the_pooled_layout() {
+        use rand::SeedableRng;
+        // Random 12-node DAGs padded by a chain to either side of each word
+        // boundary: behind a chain head their joins take the highest ids,
+        // ahead of a chain tail the lowest.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1717);
+        for total in [63, 64, 65, 127, 128] {
+            for _ in 0..2 {
+                let config = serenity_ir::random_dag::RandomDagConfig {
+                    nodes: 12,
+                    edge_prob: 0.25,
+                    ..Default::default()
+                };
+                let body = serenity_ir::random_dag::random_dag(&config, &mut rng);
+                assert_layouts_agree_on(&with_head(&body, total));
+                assert_layouts_agree_on(&with_tail(body, total));
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_layouts_match_the_pooled_layout_on_sharded_frontiers() {
+        use crate::backend::{BoundHandle, CompileContext};
+        // Frontiers of up to 924 states, past PARALLEL_THRESHOLD, at both
+        // fixed widths: the sharded merge, mid-step limit checks (a step
+        // takes thousands of transitions) and bound pruning all run.
+        let g = serenity_ir::random_dag::independent_branches(12, 10);
+        for g in [with_tail(g.clone(), 64), with_head(&g, 128), with_tail(g, 128)] {
+            let optimum = DpScheduler::new().schedule(&g).unwrap().schedule.peak_bytes;
+            for threads in [1, 2, 4] {
+                let dp = DpScheduler::new().threads(threads);
+                let unconstrained = CompileContext::unconstrained();
+                assert!(assert_layouts_agree(&dp, &g, &[], &unconstrained).is_ok());
+                let weak = CompileContext::unconstrained()
+                    .with_bound(Some(BoundHandle::seeded_weak(optimum)));
+                assert!(assert_layouts_agree(&dp, &g, &[], &weak).is_ok());
+                let capped = dp.clone().max_states(300);
+                let result = assert_layouts_agree(&capped, &g, &[], &unconstrained);
+                assert!(result.unwrap_err().starts_with("timeout"));
+                let tight = dp.clone().budget(optimum - 1);
+                assert!(assert_layouts_agree(&tight, &g, &[], &unconstrained).is_err());
+            }
+        }
     }
 }

@@ -81,9 +81,14 @@ pub struct ScheduleStats {
     /// Lookups that fell through to the compile cache and missed (only
     /// counted when a cache is installed).
     pub cache_misses: u64,
-    /// Peak bytes of signature storage (frontier bitsets) live at any one
-    /// moment of the search — the DP's search-memory high-water mark. Zero
-    /// for schedulers that do not memoize signatures.
+    /// High-water mark of the search's own live memory, in allocated bytes:
+    /// for the DP its step arenas (signatures and metadata), memo index,
+    /// parallel candidate blocks and the backtrack records of completed
+    /// steps; for the beam its frontiers, candidates and records. The
+    /// memory budget ([`CompileOptions::memory_budget`]) is checked against
+    /// the same figure. Zero for schedulers that keep no search state.
+    ///
+    /// [`CompileOptions::memory_budget`]: crate::backend::CompileOptions::memory_budget
     pub peak_memo_bytes: u64,
     /// Transitions discarded because their running peak provably lost to a
     /// shared [`IncumbentBound`](crate::backend::IncumbentBound) — the

@@ -38,7 +38,7 @@ use serenity_core::pipeline::{CompiledSchedule, RewriteMode, Serenity};
 use serenity_core::registry::BackendRegistry;
 use serenity_core::verify::{verify, VerifyFailure};
 use serenity_ir::random_dag::{random_dag, RandomDagConfig};
-use serenity_ir::{mem, topo, DType, Graph, GraphBuilder, Padding};
+use serenity_ir::{mem, topo, DType, Graph, GraphBuilder, NodeId, Padding};
 use serenity_memsim::{simulate, MemSimError, Policy};
 
 /// Backends whose schedules are provably optimal: their peaks must agree.
@@ -61,7 +61,9 @@ fn cases() -> usize {
 }
 
 /// The seeded corpus: connected DAGs spanning narrow chains to wide,
-/// heavily cross-wired cells.
+/// heavily cross-wired cells. A size axis pads every second and third case
+/// with a chain tail past 64 and past 128 nodes, so the search engines run
+/// with one-word, two-word and pooled bitsets alike.
 fn corpus() -> Vec<Graph> {
     let mut rng = StdRng::seed_from_u64(seed());
     (0..cases())
@@ -74,10 +76,27 @@ fn corpus() -> Vec<Graph> {
                 max_bytes: 4096,
             };
             let mut g = random_dag(&config, &mut rng);
+            let total = match i % 3 {
+                0 => g.len(),
+                1 => rng.gen_range(65..=128),
+                _ => rng.gen_range(129..=160),
+            };
+            pad_with_tail(&mut g, total, &mut rng);
             g.set_name(format!("fuzz_{i}"));
             g
         })
         .collect()
+}
+
+/// Appends a chain to `graph` until it has `total` nodes: the first link
+/// consumes every sink, each later link only the one before it. The chain
+/// adds one search state per node, so exact engines stay cheap.
+fn pad_with_tail(graph: &mut Graph, total: usize, rng: &mut StdRng) {
+    let mut last: Vec<NodeId> = graph.node_ids().filter(|&u| graph.outdegree(u) == 0).collect();
+    for i in graph.len()..total {
+        let bytes = rng.gen_range(1..=4096);
+        last = vec![graph.add_opaque(format!("tail{i}"), bytes, &last).expect("valid tail link")];
+    }
 }
 
 /// A concat→conv cell the channel-wise rule fires on, so the rewrite

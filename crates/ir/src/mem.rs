@@ -152,7 +152,8 @@ impl SlabAnalysis {
 /// run?", "is `u` the first member of its slab?") are answered with a few
 /// word-level mask operations instead of edge-list scans. Search engines
 /// that keep signatures in flat word pools use its flattened form,
-/// [`TransitionTable`].
+/// [`TransitionTable`]; engines with inline `[u64; W]` bitsets use that
+/// table's [`FixedTable`] view.
 #[derive(Debug, Clone)]
 pub struct CostModel<'g> {
     graph: &'g Graph,
@@ -523,6 +524,142 @@ impl TransitionTable {
     #[inline]
     pub fn mask_ready(&self, scheduled: &[u64], off: u32) -> bool {
         wordset::is_subset(self.mask(off), scheduled)
+    }
+
+    /// The fixed-width view of this table for engines whose bitsets are
+    /// `[u64; W]` arrays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than `64 × W` nodes.
+    pub fn fixed<const W: usize>(&self) -> FixedTable<W> {
+        assert!(self.words <= W, "a {}-word table has no {W}-word view", self.words);
+        let inline = |off: u32| {
+            let mut mask = [0u64; W];
+            if off != u32::MAX {
+                mask[..self.words].copy_from_slice(self.mask(off));
+            }
+            mask
+        };
+        let without = |mut mask: [u64; W], u: NodeId| {
+            wordset::remove(&mut mask, u);
+            mask
+        };
+        let mut nodes = Vec::with_capacity(self.alloc.len());
+        let mut free_edges = Vec::with_capacity(self.free_edges.len());
+        let mut succ_edges = Vec::with_capacity(self.succ_edges.len());
+        for (i, &(off, alloc)) in self.alloc.iter().enumerate() {
+            let u = NodeId::from_index(i);
+            let free_start = free_edges.len() as u32;
+            let range = self.free_ranges[i] as usize..self.free_ranges[i + 1] as usize;
+            free_edges.extend(
+                self.free_edges[range].iter().map(|&(off, bytes)| (without(inline(off), u), bytes)),
+            );
+            let succ_start = succ_edges.len() as u32;
+            succ_edges.extend(self.succ_edges(u).iter().map(|&(s, off)| (s, inline(off))));
+            nodes.push(FixedNode {
+                slab_others: without(inline(off), u),
+                alloc,
+                self_free: self.self_free[i],
+                auto_ready: inline(self.auto_ready[i]),
+                free: [free_start, free_edges.len() as u32],
+                succ: [succ_start, succ_edges.len() as u32],
+            });
+        }
+        FixedTable { nodes, free_edges, succ_edges }
+    }
+}
+
+/// A fixed-width view of a [`TransitionTable`], for graphs of at most
+/// `64 × W` nodes.
+///
+/// Search engines whose states hold their bitsets inline as `[u64; W]`
+/// arrays (the DP's and the beam's fast paths) read their masks inline
+/// too: each node's record carries its slab and auto-ready masks, and each
+/// edge carries its consumer or predecessor mask. A transition therefore
+/// looks up no offset into a shared pool, and every mask test is `W` word
+/// operations the compiler unrolls. A mask the alloc and free rules test
+/// "apart from the node being scheduled" is stored without that node, so
+/// both rules become plain intersection and subset tests.
+///
+/// Semantics are identical to the table it was built from (and so to the
+/// [`CostModel`] methods) — property-checked against the `*_scan`
+/// reference in the test suite, like the table itself.
+#[derive(Debug, Clone)]
+pub struct FixedTable<const W: usize> {
+    nodes: Vec<FixedNode<W>>,
+    /// `(consumers other than the node, releasable bytes)` per freeing
+    /// predecessor, grouped by consumer (`FixedNode::free`).
+    free_edges: Vec<([u64; W], u64)>,
+    /// `(successor, its predecessor mask)` per multi-predecessor successor,
+    /// grouped by producer (`FixedNode::succ`).
+    succ_edges: Vec<(NodeId, [u64; W])>,
+}
+
+/// One node's record in a [`FixedTable`].
+#[derive(Debug, Clone, Copy)]
+struct FixedNode<const W: usize> {
+    /// The other members of the node's slab (empty unless it is a slab
+    /// member): the node charges `alloc` iff none of them is scheduled.
+    slab_others: [u64; W],
+    /// Bytes charged on allocation (zero for slab heads).
+    alloc: u64,
+    /// Bytes the node frees for itself at its own step.
+    self_free: u64,
+    /// Successors whose only predecessor is this node.
+    auto_ready: [u64; W],
+    /// `start..end` of the node's slice of `free_edges`.
+    free: [u32; 2],
+    /// `start..end` of the node's slice of `succ_edges`.
+    succ: [u32; 2],
+}
+
+impl<const W: usize> FixedTable<W> {
+    /// [`TransitionTable::alloc_bytes`] on an inline bitset.
+    #[inline]
+    pub fn alloc_bytes(&self, scheduled: &[u64; W], u: NodeId) -> u64 {
+        let node = &self.nodes[u.index()];
+        if (0..W).any(|w| node.slab_others[w] & scheduled[w] != 0) {
+            0
+        } else {
+            node.alloc
+        }
+    }
+
+    /// [`TransitionTable::free_bytes`] on an inline bitset (`scheduled`
+    /// must not yet include `u`).
+    #[inline]
+    pub fn free_bytes(&self, scheduled: &[u64; W], u: NodeId) -> u64 {
+        let node = &self.nodes[u.index()];
+        let mut freed = node.self_free;
+        for (others, bytes) in &self.free_edges[node.free[0] as usize..node.free[1] as usize] {
+            if self.mask_ready(scheduled, others) {
+                freed += bytes;
+            }
+        }
+        freed
+    }
+
+    /// `u`'s auto-ready successor mask (successors with no other
+    /// predecessor); empty when there are none.
+    #[inline]
+    pub fn auto_ready(&self, u: NodeId) -> &[u64; W] {
+        &self.nodes[u.index()].auto_ready
+    }
+
+    /// `u`'s multi-predecessor successors, each paired with its predecessor
+    /// mask for [`FixedTable::mask_ready`].
+    #[inline]
+    pub fn succ_edges(&self, u: NodeId) -> &[(NodeId, [u64; W])] {
+        let node = &self.nodes[u.index()];
+        &self.succ_edges[node.succ[0] as usize..node.succ[1] as usize]
+    }
+
+    /// Whether `mask` is contained in `scheduled` — the readiness test for
+    /// a successor from [`FixedTable::succ_edges`].
+    #[inline]
+    pub fn mask_ready(&self, scheduled: &[u64; W], mask: &[u64; W]) -> bool {
+        (0..W).all(|w| mask[w] & !scheduled[w] == 0)
     }
 }
 

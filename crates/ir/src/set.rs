@@ -224,9 +224,10 @@ impl<'a> IntoIterator for &'a NodeSet {
 
 /// Set operations on raw `&[u64]` bit-word slices.
 ///
-/// The DP scheduler stores thousands of signatures per search step in flat
-/// word pools (one allocation per step instead of two per state). These
-/// helpers mirror the [`NodeSet`] operations on such pool slices. All
+/// The DP and beam schedulers store thousands of signatures per search
+/// step, as inline `[u64; W]` arrays or, past 128 nodes, in flat word pools
+/// (one allocation per step instead of two per state). These helpers
+/// mirror the [`NodeSet`] operations on such arrays and pool slices. All
 /// functions tolerate length mismatches by treating missing high words as
 /// zero, matching `NodeSet`'s capacity-independent semantics — except
 /// [`wordset::insert`], which requires the slice to cover the id.

@@ -26,44 +26,104 @@ prop_compose! {
     }
 }
 
+/// Layered graphs stacked with slab combiners (`AccumAdd` / `SlabConcat`),
+/// occasionally with side consumers that disqualify a member — exercising
+/// every branch of the slab cost rules.
+fn slab_graph(groups: usize, per_group: usize, channels: usize, seed: u64) -> Graph {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+    let mut g = Graph::new("slabby");
+    let shape = TensorShape::nhwc(1, 1, 1, channels, DType::U8);
+    let mut carry = g.add_input("x", shape);
+    for gi in 0..groups {
+        let producers: Vec<NodeId> = (0..per_group)
+            .map(|pi| {
+                let op = if rng.gen_bool(0.5) { Op::Identity } else { Op::Relu };
+                g.add_named(format!("p{gi}_{pi}"), op, &[carry]).unwrap()
+            })
+            .collect();
+        let head = if rng.gen_bool(0.5) {
+            g.add_named(format!("acc{gi}"), Op::AccumAdd, &producers).unwrap()
+        } else {
+            g.add_named(format!("cat{gi}"), Op::SlabConcat { axis: 3 }, &producers).unwrap()
+        };
+        // A side consumer disqualifies its producer from slab membership
+        // (two consumers) — keep some groups mixed.
+        if rng.gen_bool(0.4) {
+            let side = g.add_named(format!("side{gi}"), Op::Sigmoid, &[producers[0]]).unwrap();
+            if rng.gen_bool(0.5) {
+                g.mark_output(side);
+            }
+        }
+        carry = g.add_named(format!("next{gi}"), Op::Relu, &[head]).unwrap();
+    }
+    g.mark_output(carry);
+    g
+}
+
 prop_compose! {
-    /// Layered graphs stacked with slab combiners (`AccumAdd` /
-    /// `SlabConcat`), occasionally with side consumers that disqualify a
-    /// member — exercising every branch of the slab cost rules.
     fn arb_slab_graph()(
         groups in 1usize..5,
         per_group in 2usize..4,
         channels in 1usize..32,
         seed in any::<u64>(),
     ) -> Graph {
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let mut g = Graph::new("slabby");
-        let shape = TensorShape::nhwc(1, 1, 1, channels, DType::U8);
-        let mut carry = g.add_input("x", shape);
-        for gi in 0..groups {
-            let producers: Vec<NodeId> = (0..per_group)
-                .map(|pi| {
-                    let op = if rng.gen_bool(0.5) { Op::Identity } else { Op::Relu };
-                    g.add_named(format!("p{gi}_{pi}"), op, &[carry]).unwrap()
-                })
-                .collect();
-            let head = if rng.gen_bool(0.5) {
-                g.add_named(format!("acc{gi}"), Op::AccumAdd, &producers).unwrap()
-            } else {
-                g.add_named(format!("cat{gi}"), Op::SlabConcat { axis: 3 }, &producers).unwrap()
-            };
-            // A side consumer disqualifies its producer from slab membership
-            // (two consumers) — keep some groups mixed.
-            if rng.gen_bool(0.4) {
-                let side = g.add_named(format!("side{gi}"), Op::Sigmoid, &[producers[0]]).unwrap();
-                if rng.gen_bool(0.5) {
-                    g.mark_output(side);
-                }
-            }
-            carry = g.add_named(format!("next{gi}"), Op::Relu, &[head]).unwrap();
+        slab_graph(groups, per_group, channels, seed)
+    }
+}
+
+prop_compose! {
+    /// Graphs of up to 128 nodes, so masks span both words of a two-word
+    /// bitset: sparse random DAGs and long slab stacks.
+    fn arb_wide_graph()(
+        nodes in 1usize..=128,
+        edge_prob in 0.0f64..0.15,
+        groups in 10usize..=20,
+        seed in any::<u64>(),
+        slabs in any::<bool>(),
+    ) -> Graph {
+        if slabs {
+            slab_graph(groups, 3, 8, seed)
+        } else {
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+            random_dag(
+                &RandomDagConfig {
+                    nodes,
+                    edge_prob,
+                    max_extra_inputs: 4,
+                    min_bytes: 1,
+                    max_bytes: 1024,
+                },
+                &mut rng,
+            )
         }
-        g.mark_output(carry);
-        g
+    }
+}
+
+/// Replays `order` through the `W`-word view of the graph's transition
+/// table and checks every answer against the list-scan reference.
+fn check_fixed_view<const W: usize>(graph: &Graph, order: &[NodeId]) {
+    let cost = mem::CostModel::new(graph);
+    let table = cost.transition_table().fixed::<W>();
+    let mut scheduled = NodeSet::with_capacity(graph.len());
+    let mut words = [0u64; W];
+    for &u in order {
+        assert_eq!(table.alloc_bytes(&words, u), cost.alloc_bytes_scan(&scheduled, u));
+        assert_eq!(table.free_bytes(&words, u), cost.free_bytes_scan(&scheduled, u));
+        scheduled.insert(u);
+        wordset::insert(&mut words, u);
+        let mut ready: NodeSet = wordset::iter(table.auto_ready(u)).collect();
+        for (s, mask) in table.succ_edges(u) {
+            if table.mask_ready(&words, mask) {
+                ready.insert(*s);
+            }
+        }
+        let expected: NodeSet = graph
+            .succs(u)
+            .iter()
+            .copied()
+            .filter(|&s| graph.preds(s).iter().all(|&p| scheduled.contains(p)))
+            .collect();
+        assert_eq!(ready.iter().collect::<Vec<_>>(), expected.iter().collect::<Vec<_>>());
     }
 }
 
@@ -144,6 +204,21 @@ proptest! {
                 .collect();
             prop_assert_eq!(ready.iter().collect::<Vec<_>>(), expected.iter().collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn fixed_table_matches_scan_path(
+        graph in prop_oneof![arb_graph(), arb_slab_graph(), arb_wide_graph()],
+        seed in any::<u64>(),
+    ) {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let order = topo::random(&graph, &mut rng);
+        prop_assert!(graph.len() <= 128);
+        if graph.len() <= 64 {
+            check_fixed_view::<1>(&graph, &order);
+        }
+        // A wider view than the graph needs pads with zero words.
+        check_fixed_view::<2>(&graph, &order);
     }
 
     #[test]
