@@ -1,7 +1,7 @@
 //! `bench_sched` — the tracked scheduler-throughput and rewrite-loop
 //! baseline.
 //!
-//! Two sections, one JSON file (default `BENCH_sched.json` in the current
+//! Four sections, one JSON file (default `BENCH_sched.json` in the current
 //! directory — run from the repo root):
 //!
 //! * `results` — scheduler throughput: the RandWire / DARTS / SwiftNet
@@ -23,15 +23,6 @@
 //!   baseline, the rewrite-off and default (peak-only) compiles, and the
 //!   `MinTraffic`-objective compile — each traffic-objective result
 //!   re-certified by the independent verifier.
-//! * `portfolio_race` — the raced portfolio and the shared incumbent
-//!   bound: the standard portfolio run serially and with 2 racing threads
-//!   (wall time each, bit-identical winner/schedule check) plus a
-//!   seeded-vs-unseeded DP comparison — the DP re-run under a weak
-//!   incumbent bound at the greedy peak must reach the same peak with
-//!   fewer transitions and a non-zero `bound_pruned` count. The seeded
-//!   comparison is the single-vCPU evidence path: it shows the
-//!   branch-and-bound machinery paying off even when the racing threads
-//!   cannot.
 //!
 //! The emitted file is the perf trajectory future PRs are measured against:
 //! re-run the bin before and after an optimization and compare
@@ -45,21 +36,17 @@
 //! * `--smoke`     tiny graphs, one iteration — CI keeps the emitter honest
 //! * `--iters N`   timed iterations per (workload, scheduler) pair (default 3)
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serenity_core::backend::{
-    BackendOutcome, BeamBackend, BoundHandle, CompileContext, CompileEvent, DpBackend,
-    GreedyBackend, SchedulerBackend,
-};
+use serenity_core::backend::{BeamBackend, CompileContext, DpBackend, SchedulerBackend};
 use serenity_core::cache::CompileCache;
 use serenity_core::capacity::{assess, CapacityTarget};
 use serenity_core::dp::DpConfig;
 use serenity_core::pipeline::{RewriteMode, Serenity};
-use serenity_core::registry::{BackendRegistry, PortfolioBackend};
+use serenity_core::registry::BackendRegistry;
 use serenity_core::rewrite::RewriteSearchSummary;
 use serenity_core::verify::verify;
-use serenity_core::ScheduleError;
 use serenity_ir::{mem, topo, Graph};
 use serenity_nets::randwire::{randwire_cell, Aggregation, RandWireConfig};
 use serenity_nets::suite;
@@ -587,190 +574,6 @@ fn measure_capacity(workload: &Workload) -> Vec<CapacityRow> {
     rows
 }
 
-/// Workloads of the portfolio-race section. The full run uses the same
-/// N≈32 RandWire cell as the acceptance workload; smoke keeps CI fast with
-/// a 12-node cell that still forces DP bound-pruning against the greedy
-/// incumbent.
-fn race_workloads(smoke: bool) -> Vec<Workload> {
-    if smoke {
-        return vec![Workload { id: "randwire-n12".into(), graph: randwire(12, 9, 4, 4) }];
-    }
-    vec![Workload { id: "randwire-n32".into(), graph: randwire(32, 7, 8, 8) }]
-}
-
-struct RaceRow {
-    workload: String,
-    nodes: usize,
-    ok: bool,
-    error: Option<String>,
-    /// Thread count of the raced run (the serial run is always 1).
-    threads: usize,
-    serial_wall: Duration,
-    raced_wall: Duration,
-    peak_bytes: u64,
-    winner: Option<String>,
-    /// Raced schedule, winner, and peak all equal the serial run's.
-    bit_identical: Option<bool>,
-    /// Members skipped by the serial run's exact-member early exit.
-    race_cutoffs: u64,
-    /// Seeded-vs-unseeded DP: the incumbent peak the greedy pass provides.
-    greedy_peak: u64,
-    dp_peak: u64,
-    dp_seeded_peak: u64,
-    dp_transitions: u64,
-    dp_seeded_transitions: u64,
-    dp_bound_pruned: u64,
-    /// Tight-seed variant: a weak incumbent at the DP's own optimum — the
-    /// bound an exact racing twin would publish the moment it finishes.
-    dp_tight_peak: u64,
-    dp_tight_transitions: u64,
-    dp_tight_bound_pruned: u64,
-}
-
-impl RaceRow {
-    /// Fraction of DP transitions a seeded run eliminated.
-    fn saved(&self, seeded_transitions: u64) -> f64 {
-        if self.dp_transitions > 0 {
-            1.0 - seeded_transitions as f64 / self.dp_transitions as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Transition savings under the greedy-peak seed.
-    fn transitions_saved(&self) -> f64 {
-        self.saved(self.dp_seeded_transitions)
-    }
-
-    /// Transition savings under the tight (optimal-peak) seed.
-    fn tight_transitions_saved(&self) -> f64 {
-        self.saved(self.dp_tight_transitions)
-    }
-}
-
-/// Runs a portfolio once, capturing the winning member's name from the
-/// `BackendChosen` event alongside the outcome.
-fn run_portfolio(
-    portfolio: &PortfolioBackend,
-    graph: &Graph,
-) -> Result<(BackendOutcome, Option<String>), ScheduleError> {
-    let winner = Arc::new(Mutex::new(None));
-    let sink = Arc::clone(&winner);
-    let ctx = CompileContext::unconstrained().with_event_sink(Some(Arc::new(
-        move |event: &CompileEvent| {
-            if let CompileEvent::BackendChosen { name, .. } = event {
-                *sink.lock().unwrap() = Some(name.clone());
-            }
-        },
-    )));
-    let outcome = portfolio.schedule(graph, &ctx)?;
-    drop(ctx);
-    let name = winner.lock().unwrap().take();
-    Ok((outcome, name))
-}
-
-/// Measures the portfolio race on one workload: serial vs. 2-thread raced
-/// wall time with a bit-identity check, plus the seeded-vs-unseeded DP
-/// comparison that demonstrates bound pruning without any parallelism.
-fn measure_race(workload: &Workload, iters: usize, threads: usize) -> RaceRow {
-    let base = RaceRow {
-        workload: workload.id.clone(),
-        nodes: workload.graph.len(),
-        ok: false,
-        error: None,
-        threads,
-        serial_wall: Duration::ZERO,
-        raced_wall: Duration::ZERO,
-        peak_bytes: 0,
-        winner: None,
-        bit_identical: None,
-        race_cutoffs: 0,
-        greedy_peak: 0,
-        dp_peak: 0,
-        dp_seeded_peak: 0,
-        dp_transitions: 0,
-        dp_seeded_transitions: 0,
-        dp_bound_pruned: 0,
-        dp_tight_peak: 0,
-        dp_tight_transitions: 0,
-        dp_tight_bound_pruned: 0,
-    };
-    let serial = PortfolioBackend::standard();
-    let raced = PortfolioBackend::standard().threads(threads);
-    // One warm-up plus `iters` timed runs per mode, keeping the fastest —
-    // the same noise discipline as `measure()`. The schedule and winner are
-    // deterministic across runs, so any kept run works for the identity
-    // check.
-    let mut best_serial: Option<(Duration, BackendOutcome, Option<String>)> = None;
-    let mut best_raced: Option<(Duration, BackendOutcome, Option<String>)> = None;
-    for (portfolio, best) in [(&serial, &mut best_serial), (&raced, &mut best_raced)] {
-        for i in 0..=iters {
-            let started = Instant::now();
-            match run_portfolio(portfolio, &workload.graph) {
-                Ok((outcome, winner)) => {
-                    let wall = started.elapsed();
-                    if i > 0 && best.as_ref().is_none_or(|(b, _, _)| wall < *b) {
-                        *best = Some((wall, outcome, winner));
-                    }
-                }
-                Err(e) => return RaceRow { error: Some(format!("portfolio: {e}")), ..base },
-            }
-        }
-    }
-    let (serial_wall, serial_outcome, serial_winner) = best_serial.expect("timed serial run");
-    let (raced_wall, raced_outcome, raced_winner) = best_raced.expect("timed raced run");
-    let bit_identical = raced_outcome.schedule == serial_outcome.schedule
-        && raced_outcome.schedule.peak_bytes == serial_outcome.schedule.peak_bytes
-        && raced_winner == serial_winner;
-
-    // The single-vCPU evidence path: seed a fresh DP run with a weak
-    // incumbent bound at the greedy peak. Weak seeds lose ties, so the DP
-    // can still match the greedy peak exactly — only strictly worse states
-    // prune — and the peaks must come out identical.
-    let dp =
-        DpBackend::with_config(DpConfig { max_states: Some(MAX_STATES), ..DpConfig::default() });
-    let plain_ctx = CompileContext::unconstrained();
-    let greedy = match GreedyBackend.schedule(&workload.graph, &plain_ctx) {
-        Ok(outcome) => outcome,
-        Err(e) => return RaceRow { error: Some(format!("greedy: {e}")), ..base },
-    };
-    let dp_off = match dp.schedule(&workload.graph, &plain_ctx) {
-        Ok(outcome) => outcome,
-        Err(e) => return RaceRow { error: Some(format!("dp: {e}")), ..base },
-    };
-    let seeded_ctx = CompileContext::unconstrained()
-        .with_bound(Some(BoundHandle::seeded_weak(greedy.schedule.peak_bytes)));
-    let dp_on = match dp.schedule(&workload.graph, &seeded_ctx) {
-        Ok(outcome) => outcome,
-        Err(e) => return RaceRow { error: Some(format!("seeded dp: {e}")), ..base },
-    };
-    let tight_ctx = CompileContext::unconstrained()
-        .with_bound(Some(BoundHandle::seeded_weak(dp_off.schedule.peak_bytes)));
-    let dp_tight = match dp.schedule(&workload.graph, &tight_ctx) {
-        Ok(outcome) => outcome,
-        Err(e) => return RaceRow { error: Some(format!("tight-seeded dp: {e}")), ..base },
-    };
-    RaceRow {
-        ok: true,
-        serial_wall,
-        raced_wall,
-        peak_bytes: serial_outcome.schedule.peak_bytes,
-        winner: serial_winner,
-        bit_identical: Some(bit_identical),
-        race_cutoffs: serial_outcome.stats.race_cutoffs,
-        greedy_peak: greedy.schedule.peak_bytes,
-        dp_peak: dp_off.schedule.peak_bytes,
-        dp_seeded_peak: dp_on.schedule.peak_bytes,
-        dp_transitions: dp_off.stats.transitions,
-        dp_seeded_transitions: dp_on.stats.transitions,
-        dp_bound_pruned: dp_on.stats.bound_pruned,
-        dp_tight_peak: dp_tight.schedule.peak_bytes,
-        dp_tight_transitions: dp_tight.stats.transitions,
-        dp_tight_bound_pruned: dp_tight.stats.bound_pruned,
-        ..base
-    }
-}
-
 fn main() {
     let mut out = String::from("BENCH_sched.json");
     let mut smoke = false;
@@ -899,31 +702,6 @@ fn main() {
         }
     }
 
-    println!();
-    let mut race_rows = Vec::new();
-    for workload in race_workloads(smoke) {
-        let row = measure_race(&workload, iters, 2);
-        if row.ok {
-            println!(
-                "{:<18} race       serial {:>10.3?}  raced(x{}) {:>10.3?}  identical {}  dp -{:.1}% trans (greedy seed), -{:.1}% (tight seed)",
-                row.workload,
-                row.serial_wall,
-                row.threads,
-                row.raced_wall,
-                row.bit_identical.map_or("-".into(), |b| b.to_string()),
-                row.transitions_saved() * 100.0,
-                row.tight_transitions_saved() * 100.0,
-            );
-        } else {
-            println!(
-                "{:<18} race       FAILED: {}",
-                row.workload,
-                row.error.as_deref().unwrap_or("unknown"),
-            );
-        }
-        race_rows.push(row);
-    }
-
     let results: Vec<serde_json::Value> = rows
         .iter()
         .map(|r| {
@@ -1020,49 +798,14 @@ fn main() {
             })
         })
         .collect();
-    let race_results: Vec<serde_json::Value> = race_rows
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "workload": r.workload,
-                "nodes": r.nodes,
-                "ok": r.ok,
-                "error": r.error,
-                "threads": r.threads,
-                "serial_wall_us": r.serial_wall.as_micros() as u64,
-                "raced_wall_us": r.raced_wall.as_micros() as u64,
-                "race_speedup": if r.raced_wall.as_secs_f64() > 0.0 {
-                    r.serial_wall.as_secs_f64() / r.raced_wall.as_secs_f64()
-                } else {
-                    0.0
-                },
-                "peak_bytes": r.peak_bytes,
-                "winner": r.winner,
-                "bit_identical": r.bit_identical,
-                "race_cutoffs": r.race_cutoffs,
-                "greedy_peak": r.greedy_peak,
-                "dp_peak": r.dp_peak,
-                "dp_seeded_peak": r.dp_seeded_peak,
-                "dp_transitions": r.dp_transitions,
-                "dp_seeded_transitions": r.dp_seeded_transitions,
-                "dp_bound_pruned": r.dp_bound_pruned,
-                "dp_transitions_saved": r.transitions_saved(),
-                "dp_tight_peak": r.dp_tight_peak,
-                "dp_tight_transitions": r.dp_tight_transitions,
-                "dp_tight_bound_pruned": r.dp_tight_bound_pruned,
-                "dp_tight_transitions_saved": r.tight_transitions_saved(),
-            })
-        })
-        .collect();
     let report = serde_json::json!({
-        "schema": "serenity-bench-sched/v5",
+        "schema": "serenity-bench-sched/v6",
         "mode": if smoke { "smoke" } else { "full" },
         "iters": iters,
         "results": results,
         "rewrite_results": rewrite_results,
         "cache_results": cache_results,
         "capacity_results": capacity_results,
-        "portfolio_race": race_results,
     });
     let rendered = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, rendered + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));

@@ -40,9 +40,6 @@ usage:
                               (fits, off-chip traffic, peak));
                               needs --capacity-bytes
       --threads <N>           DP worker threads (default 1)
-      --portfolio-threads <N> racing worker threads of the portfolio backend
-                              (default 1 = serial; results are bit-identical
-                              at any count)
       --deadline-ms <N>       abort compilation after N milliseconds
       --verify                independently re-check the compiled schedule
                               (topological order, scan-path peak, arena,
@@ -61,8 +58,6 @@ usage:
                               with 503 (default 64)
       --scheduler <name>      scheduling backend (see `serenity backends`;
                               default adaptive)
-      --portfolio-threads <N> racing worker threads of the portfolio backend
-                              (default 1 = serial)
       --cache-bytes <N>       byte budget of the shared compile cache
                               (default 64 MiB)
       --admission <lru|tinylfu>
@@ -134,8 +129,6 @@ pub enum Command {
         capacity: Option<CapacityTarget>,
         /// DP worker threads.
         threads: usize,
-        /// Racing worker threads of the portfolio backend (1 = serial).
-        portfolio_threads: usize,
         /// Wall-clock compile deadline in milliseconds.
         deadline_ms: Option<u64>,
         /// Compile-cache byte budget (`None` = default 64 MiB, `Some(0)`
@@ -161,8 +154,6 @@ pub enum Command {
         queue: usize,
         /// Backend name from the registry (`None` = default adaptive).
         scheduler: Option<String>,
-        /// Racing worker threads of the portfolio backend (1 = serial).
-        portfolio_threads: usize,
         /// Compile-cache byte budget (`None` = default 64 MiB).
         cache_bytes: Option<u64>,
         /// Cache admission policy.
@@ -245,7 +236,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut capacity_bytes = None;
             let mut objective = None;
             let mut threads = 1usize;
-            let mut portfolio_threads = 1usize;
             let mut deadline_ms = None;
             let mut cache_bytes = None;
             let mut verify = false;
@@ -342,15 +332,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                             return Err("schedule: --threads must be at least 1".into());
                         }
                     }
-                    "--portfolio-threads" => {
-                        let raw = it.next().ok_or("schedule: --portfolio-threads needs a value")?;
-                        portfolio_threads = raw
-                            .parse::<usize>()
-                            .map_err(|_| format!("schedule: bad portfolio thread count {raw}"))?;
-                        if portfolio_threads == 0 {
-                            return Err("schedule: --portfolio-threads must be at least 1".into());
-                        }
-                    }
                     other => return Err(format!("schedule: unknown flag {other}")),
                 }
             }
@@ -396,7 +377,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 budget_kb,
                 capacity,
                 threads,
-                portfolio_threads,
                 deadline_ms,
                 cache_bytes,
                 verify,
@@ -410,7 +390,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut threads = 4usize;
             let mut queue = 64usize;
             let mut scheduler = None;
-            let mut portfolio_threads = 1usize;
             let mut cache_bytes = None;
             let mut admission = AdmissionPolicy::Lru;
             let mut persist = None;
@@ -456,15 +435,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                             .map_err(|_| format!("serve: bad thread count {raw}"))?;
                         if threads == 0 {
                             return Err("serve: --threads must be at least 1".into());
-                        }
-                    }
-                    "--portfolio-threads" => {
-                        let raw = it.next().ok_or("serve: --portfolio-threads needs a value")?;
-                        portfolio_threads = raw
-                            .parse::<usize>()
-                            .map_err(|_| format!("serve: bad portfolio thread count {raw}"))?;
-                        if portfolio_threads == 0 {
-                            return Err("serve: --portfolio-threads must be at least 1".into());
                         }
                     }
                     "--queue" => {
@@ -521,7 +491,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 threads,
                 queue,
                 scheduler,
-                portfolio_threads,
                 cache_bytes,
                 admission,
                 persist,
@@ -615,7 +584,6 @@ mod tests {
                 budget_kb: Some(256),
                 capacity: None,
                 threads: 4,
-                portfolio_threads: 1,
                 deadline_ms: None,
                 cache_bytes: None,
                 verify: false,
@@ -666,7 +634,6 @@ mod tests {
                 budget_kb: None,
                 capacity: None,
                 threads: 1,
-                portfolio_threads: 1,
                 deadline_ms: None,
                 cache_bytes: None,
                 verify: false,
@@ -729,7 +696,6 @@ mod tests {
                 threads: 4,
                 queue: 64,
                 scheduler: None,
-                portfolio_threads: 1,
                 cache_bytes: None,
                 admission: AdmissionPolicy::Lru,
                 persist: None,
@@ -743,7 +709,7 @@ mod tests {
         );
         let cmd = parse(&args(
             "serve --addr 0.0.0.0:0 --threads 8 --queue 16 --scheduler dp \
-             --portfolio-threads 2 --cache-bytes 1048576 --admission tinylfu \
+             --cache-bytes 1048576 --admission tinylfu \
              --persist /tmp/cache --deadline-ms 500 --max-body-bytes 4096 \
              --allow-shutdown --fault-plan compile-panic=2 --degrade beam,kahn \
              --search-budget-bytes 16777216",
@@ -756,7 +722,6 @@ mod tests {
                 threads: 8,
                 queue: 16,
                 scheduler: Some("dp".into()),
-                portfolio_threads: 2,
                 cache_bytes: Some(1_048_576),
                 admission: AdmissionPolicy::TinyLfu,
                 persist: Some("/tmp/cache".into()),
@@ -773,7 +738,7 @@ mod tests {
     #[test]
     fn serve_rejects_bad_flags() {
         assert!(parse(&args("serve --threads 0")).is_err());
-        assert!(parse(&args("serve --portfolio-threads 0")).is_err());
+        assert!(parse(&args("serve --portfolio-threads 2")).is_err(), "the flag is gone");
         assert!(parse(&args("serve --queue 0")).is_err());
         assert!(parse(&args("serve --admission random")).is_err());
         assert!(parse(&args("serve --cache-bytes 0")).is_err());
@@ -834,21 +799,17 @@ mod tests {
     #[test]
     fn parses_scheduler_selection() {
         assert_eq!(parse(&args("backends")).unwrap(), Command::Backends);
-        let cmd = parse(&args(
-            "schedule g.json --scheduler portfolio --portfolio-threads 4 \
-             --deadline-ms 5000 --verbose",
-        ))
-        .unwrap();
+        let cmd =
+            parse(&args("schedule g.json --scheduler portfolio --deadline-ms 5000 --verbose"))
+                .unwrap();
         match cmd {
-            Command::Schedule { scheduler, portfolio_threads, deadline_ms, verbose, .. } => {
+            Command::Schedule { scheduler, deadline_ms, verbose, .. } => {
                 assert_eq!(scheduler.as_deref(), Some("portfolio"));
-                assert_eq!(portfolio_threads, 4);
                 assert_eq!(deadline_ms, Some(5000));
                 assert!(verbose);
             }
             other => panic!("unexpected parse {other:?}"),
         }
-        assert!(parse(&args("schedule g.json --portfolio-threads 0")).is_err());
-        assert!(parse(&args("schedule g.json --portfolio-threads lots")).is_err());
+        assert!(parse(&args("schedule g.json --portfolio-threads 2")).is_err(), "the flag is gone");
     }
 }

@@ -8,7 +8,7 @@ use serenity_core::budget::BudgetConfig;
 use serenity_core::cache::{AdmissionPolicy, CompileCache, CompileCacheConfig};
 use serenity_core::dp::DpConfig;
 use serenity_core::pipeline::{RewriteMode, Serenity};
-use serenity_core::registry::{BackendRegistry, PortfolioBackend};
+use serenity_core::registry::BackendRegistry;
 use serenity_core::rewrite::RewriteSearchConfig;
 use serenity_ir::{dot, json, Graph};
 use serenity_memsim::Policy;
@@ -34,7 +34,6 @@ pub fn run(command: Command) -> Result<(), String> {
             budget_kb,
             capacity,
             threads,
-            portfolio_threads,
             deadline_ms,
             cache_bytes,
             verify,
@@ -52,7 +51,6 @@ pub fn run(command: Command) -> Result<(), String> {
                 budget_kb,
                 capacity,
                 threads,
-                portfolio_threads,
                 deadline_ms,
                 cache_bytes,
                 verify,
@@ -67,7 +65,6 @@ pub fn run(command: Command) -> Result<(), String> {
             threads,
             queue,
             scheduler,
-            portfolio_threads,
             cache_bytes,
             admission,
             persist,
@@ -82,7 +79,6 @@ pub fn run(command: Command) -> Result<(), String> {
             threads,
             queue,
             scheduler,
-            portfolio_threads,
             cache_bytes,
             admission,
             persist,
@@ -183,7 +179,6 @@ struct ScheduleOptions {
     budget_kb: Option<u64>,
     capacity: Option<serenity_core::capacity::CapacityTarget>,
     threads: usize,
-    portfolio_threads: usize,
     deadline_ms: Option<u64>,
     cache_bytes: Option<u64>,
     verify: bool,
@@ -193,11 +188,6 @@ struct ScheduleOptions {
 }
 
 fn pick_backend(options: &ScheduleOptions) -> Result<Arc<dyn SchedulerBackend>, String> {
-    if options.portfolio_threads != 1 && options.scheduler.as_deref() != Some("portfolio") {
-        return Err("--portfolio-threads only applies to `--scheduler portfolio`; the flag races \
-             portfolio members, not a single backend"
-            .into());
-    }
     if let Some(name) = &options.scheduler {
         // `--threads` configures the DP inner loop; honor it for the
         // backends that have one and reject it elsewhere rather than
@@ -214,11 +204,6 @@ fn pick_backend(options: &ScheduleOptions) -> Result<Arc<dyn SchedulerBackend>, 
                     threads,
                     ..BudgetConfig::default()
                 })));
-            }
-            ("portfolio", 1) => {
-                return Ok(Arc::new(
-                    PortfolioBackend::standard().threads(options.portfolio_threads),
-                ));
             }
             (_, 1) => {}
             (other, _) => {
@@ -356,7 +341,7 @@ fn render_event(event: &CompileEvent) -> String {
         }
         CompileEvent::BackendStarted { name } => format!("backend  : {name} started"),
         CompileEvent::BackendSkipped { name } => {
-            format!("skipped  : {name} (an exact member already won the race)")
+            format!("skipped  : {name} (an exact member already found the optimum)")
         }
         CompileEvent::BackendChosen { name, peak_bytes } => {
             format!("chosen   : {name} at peak {:.1} KiB", *peak_bytes as f64 / 1024.0)
@@ -533,7 +518,7 @@ fn print_compiled(compiled: &serenity_core::pipeline::CompiledSchedule, map: boo
     let stats = &compiled.stats;
     if stats.bound_pruned + stats.bound_beaten_exits + stats.race_cutoffs > 0 {
         println!(
-            "race          : {} states bound-pruned, {} searches cut off, {} members skipped",
+            "ceiling       : {} states pruned, {} searches cut off, {} members skipped",
             stats.bound_pruned, stats.bound_beaten_exits, stats.race_cutoffs
         );
     }
@@ -556,7 +541,6 @@ struct ServeOptions {
     threads: usize,
     queue: usize,
     scheduler: Option<String>,
-    portfolio_threads: usize,
     cache_bytes: Option<u64>,
     admission: AdmissionPolicy,
     persist: Option<String>,
@@ -595,16 +579,8 @@ fn serve(options: ServeOptions) -> Result<(), String> {
     use serenity_serve::server::{Server, ServerConfig};
     use serenity_serve::service::{CompileService, ServiceConfig};
 
-    if options.portfolio_threads != 1 && options.scheduler.as_deref() != Some("portfolio") {
-        return Err("--portfolio-threads only applies to `--scheduler portfolio`; the flag races \
-             portfolio members, not a single backend"
-            .into());
-    }
     let backend: Arc<dyn SchedulerBackend> = match options.scheduler.as_deref() {
         None => Arc::new(AdaptiveBackend::default()),
-        Some("portfolio") => {
-            Arc::new(PortfolioBackend::standard().threads(options.portfolio_threads))
-        }
         Some(name) => BackendRegistry::standard().create(name).ok_or_else(|| {
             format!(
                 "unknown scheduler `{name}` (available: {})",

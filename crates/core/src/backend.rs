@@ -45,7 +45,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -109,258 +109,52 @@ impl CancelToken {
     }
 }
 
-/// Number of low bits of an [`IncumbentBound`]'s packed word holding the
-/// setter priority; the remaining high bits hold the peak.
-const PRIORITY_BITS: u32 = 16;
-const PRIORITY_MASK: u64 = (1 << PRIORITY_BITS) - 1;
-/// Peaks at or above 2^48 bytes (256 TiB of activations) cannot be packed;
-/// they are simply never published — the bound stays weaker, which is
-/// always sound.
-const MAX_PACKABLE_PEAK: u64 = (u64::MAX >> PRIORITY_BITS) - 1;
-
-/// A shared branch-and-bound incumbent: the best *completed* schedule peak
-/// any racer has achieved so far, plus the member priority of whoever set
-/// it, packed into one lock-free word.
+/// An incumbent peak ceiling for branch-and-bound cutoffs, carried by
+/// [`CompileContext::with_bound`]: a run under it may discard every state
+/// whose running peak exceeds [`BoundHandle::max_viable_peak`]. Running
+/// peaks are monotone along a schedule path, so such a state can never
+/// complete into a schedule that beats the incumbent, and a run that
+/// completes under the ceiling returns exactly its unbounded result.
 ///
-/// The packing is `(peak << 16) | setter_priority`, updated by atomic
-/// fetch-min, so a smaller packed value is exactly "a better incumbent":
-/// lower peak first, earlier (smaller-priority) member on peak ties. A
-/// searcher running at priority `p` may discard a state with running peak
-/// `peak` precisely when `(peak << 16) | p` exceeds the packed word — i.e.
-/// when every completion through that state loses to the incumbent under
-/// the portfolio's own min-peak, earliest-member-wins-ties selection rule.
-/// Running peaks are monotone along a schedule path, so this pruning can
-/// never remove a schedule that would have won, which is what keeps raced
-/// portfolios bit-identical to serial ones (ARCHITECTURE.md invariant #2).
-///
-/// Two reserved setter priorities bracket the member range `1..`:
-///
-/// * [`IncumbentBound::SEED_PRIORITY`] (0) — a caller-provided incumbent
-///   that *wins ties*: searchers give up even on equalling it (used by the
-///   pipeline's final re-schedule, where matching the original peak is not
-///   an improvement).
-/// * [`IncumbentBound::WEAK_PRIORITY`] (`u16::MAX`) — a seed that *loses
-///   ties*: searchers prune only strictly worse states (used by the
-///   rewrite scorer, where a candidate equalling the current peak is still
-///   an acceptable plateau step).
-pub struct IncumbentBound {
-    packed: AtomicU64,
-    /// Second bound axis for capacity-constrained compiles: the best total
-    /// off-chip traffic any racer's *completed and assessed* schedule has
-    /// achieved, packed exactly like `packed`. See
-    /// [`IncumbentBound::publish_capacity`] for the coupling rule between
-    /// the two words.
-    traffic_packed: AtomicU64,
-}
-
-impl fmt::Debug for IncumbentBound {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("IncumbentBound")
-            .field("peak", &self.peak())
-            .field("setter_priority", &self.setter_priority())
-            .field("traffic", &self.traffic())
-            .finish()
-    }
-}
-
-impl Default for IncumbentBound {
-    fn default() -> Self {
-        IncumbentBound {
-            packed: AtomicU64::new(u64::MAX),
-            traffic_packed: AtomicU64::new(u64::MAX),
-        }
-    }
-}
-
-impl IncumbentBound {
-    /// Setter priority of a tie-winning caller seed (see the type docs).
-    pub const SEED_PRIORITY: u16 = 0;
-    /// Setter priority of a tie-losing caller seed (see the type docs).
-    pub const WEAK_PRIORITY: u16 = u16::MAX;
-
-    /// An empty bound: nothing published, nothing prunes.
-    pub fn new() -> Self {
-        IncumbentBound::default()
-    }
-
-    /// A bound pre-seeded with one incumbent peak.
-    pub fn seeded(peak_bytes: u64, priority: u16) -> Self {
-        let bound = IncumbentBound::new();
-        bound.publish(peak_bytes, priority);
-        bound
-    }
-
-    fn pack(peak_bytes: u64, priority: u16) -> u64 {
-        (peak_bytes << PRIORITY_BITS) | u64::from(priority)
-    }
-
-    /// Publishes a *completed* schedule's peak. Only ever tightens: the
-    /// stored incumbent is the minimum over all publishes (peak first,
-    /// setter priority as tie-break). Peaks too large to pack are ignored.
-    pub fn publish(&self, peak_bytes: u64, priority: u16) {
-        if peak_bytes <= MAX_PACKABLE_PEAK {
-            self.packed.fetch_min(Self::pack(peak_bytes, priority), Ordering::Relaxed);
-        }
-    }
-
-    /// The largest running peak that can still *win* against the current
-    /// incumbent for a searcher at `priority` (`u64::MAX` when nothing was
-    /// published). States strictly above it may be discarded: every
-    /// completion through them loses the race. The bound only tightens, so
-    /// a stale value is merely conservative — engines may cache this per
-    /// search step.
-    pub fn max_viable_peak(&self, priority: u16) -> u64 {
-        Self::max_viable(self.packed.load(Ordering::Relaxed), priority)
-    }
-
-    fn max_viable(packed: u64, priority: u16) -> u64 {
-        if packed == u64::MAX {
-            return u64::MAX;
-        }
-        let value = packed >> PRIORITY_BITS;
-        let setter = (packed & PRIORITY_MASK) as u16;
-        // An earlier setter wins ties, so equalling it is already a loss; a
-        // later (or tie-losing) setter still loses to an equal value.
-        if setter < priority {
-            value.saturating_sub(1)
-        } else {
-            value
-        }
-    }
-
-    /// Publishes a completed schedule assessed under a
-    /// [`CapacityTarget`]: `traffic` is its total off-chip traffic at the
-    /// target capacity. The traffic word tightens by fetch-min exactly like
-    /// the peak word. The peak word is tightened **only when the schedule
-    /// fits** (`traffic == 0`): under the `(fits, traffic, peak)` objective
-    /// a spilling incumbent's peak must not prune, because a higher-peak
-    /// order can still win on traffic — whereas any rival to a *fitting*
-    /// incumbent must itself fit and beat it on peak, so the classic peak
-    /// cutoff stays sound (see [`crate::capacity`]).
-    pub fn publish_capacity(&self, traffic: u64, peak_bytes: u64, priority: u16) {
-        if traffic <= MAX_PACKABLE_PEAK {
-            self.traffic_packed.fetch_min(Self::pack(traffic, priority), Ordering::Relaxed);
-        }
-        if traffic == 0 {
-            self.publish(peak_bytes, priority);
-        }
-    }
-
-    /// The largest total traffic that can still *win* against the current
-    /// capacity incumbent for a member at `priority` (`u64::MAX` when no
-    /// capacity publish happened). The same tie rule as
-    /// [`IncumbentBound::max_viable_peak`] applies.
-    pub fn max_viable_traffic(&self, priority: u16) -> u64 {
-        Self::max_viable(self.traffic_packed.load(Ordering::Relaxed), priority)
-    }
-
-    /// The incumbent total traffic, if any capacity publish happened.
-    pub fn traffic(&self) -> Option<u64> {
-        let packed = self.traffic_packed.load(Ordering::Relaxed);
-        (packed != u64::MAX).then_some(packed >> PRIORITY_BITS)
-    }
-
-    /// The incumbent peak in bytes, if any publish happened.
-    pub fn peak(&self) -> Option<u64> {
-        let packed = self.packed.load(Ordering::Relaxed);
-        (packed != u64::MAX).then_some(packed >> PRIORITY_BITS)
-    }
-
-    /// The member priority of whoever set the incumbent, if any.
-    pub fn setter_priority(&self) -> Option<u16> {
-        let packed = self.packed.load(Ordering::Relaxed);
-        (packed != u64::MAX).then_some((packed & PRIORITY_MASK) as u16)
-    }
-}
-
-/// One run's view of a shared [`IncumbentBound`]: the bound plus the run's
-/// own member priority, carried on [`CompileOptions::bound`]. Cloning
-/// shares the underlying bound.
-#[derive(Clone)]
+/// The ceiling is a plain value: runs never publish into it, so one
+/// divide-and-conquer segment can never constrain another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundHandle {
-    bound: Arc<IncumbentBound>,
-    priority: u16,
-}
-
-impl fmt::Debug for BoundHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BoundHandle")
-            .field("bound", &self.bound)
-            .field("priority", &self.priority)
-            .finish()
-    }
+    /// The incumbent peak in bytes.
+    peak: u64,
+    /// Whether merely equalling the incumbent already loses.
+    ties_lose: bool,
 }
 
 impl BoundHandle {
-    /// Default reading priority of a non-portfolio run: later than a
-    /// tie-winning seed, earlier than a tie-losing one.
-    pub const DEFAULT_PRIORITY: u16 = 1;
-
-    /// Wraps a shared bound for a run at `priority`.
-    pub fn new(bound: Arc<IncumbentBound>, priority: u16) -> Self {
-        BoundHandle { bound, priority }
-    }
-
-    /// A fresh bound seeded with a tie-*winning* incumbent: the run gives
-    /// up even on equalling `peak_bytes` (the pipeline's "keep the
-    /// original unless strictly better" rule).
+    /// A ceiling whose incumbent *wins ties*: the run gives up even on
+    /// equalling `peak_bytes`, pruning above `peak_bytes − 1` (the
+    /// pipeline's "keep the original unless strictly better" rule).
     pub fn seeded_incumbent(peak_bytes: u64) -> Self {
-        BoundHandle::new(
-            Arc::new(IncumbentBound::seeded(peak_bytes, IncumbentBound::SEED_PRIORITY)),
-            Self::DEFAULT_PRIORITY,
-        )
+        BoundHandle { peak: peak_bytes, ties_lose: true }
     }
 
-    /// A fresh bound seeded with a tie-*losing* incumbent: the run prunes
-    /// only strictly worse states (the rewrite scorer's "a plateau tie is
+    /// A ceiling whose incumbent *loses ties*: the run prunes only states
+    /// strictly above `peak_bytes` (the rewrite scorer's "a plateau tie is
     /// still acceptable" rule).
     pub fn seeded_weak(peak_bytes: u64) -> Self {
-        BoundHandle::new(
-            Arc::new(IncumbentBound::seeded(peak_bytes, IncumbentBound::WEAK_PRIORITY)),
-            Self::DEFAULT_PRIORITY,
-        )
+        BoundHandle { peak: peak_bytes, ties_lose: false }
     }
 
-    /// The same shared bound viewed at a different member priority.
-    pub fn with_priority(&self, priority: u16) -> Self {
-        BoundHandle { bound: Arc::clone(&self.bound), priority }
-    }
-
-    /// This run's member priority.
-    pub fn priority(&self) -> u16 {
-        self.priority
-    }
-
-    /// The shared bound itself.
-    pub fn shared(&self) -> &Arc<IncumbentBound> {
-        &self.bound
-    }
-
-    /// Publishes a completed peak at this run's priority.
-    pub fn publish(&self, peak_bytes: u64) {
-        self.bound.publish(peak_bytes, self.priority);
-    }
-
-    /// See [`IncumbentBound::max_viable_peak`].
+    /// The largest running peak that can still beat the incumbent; states
+    /// strictly above it may be discarded.
     pub fn max_viable_peak(&self) -> u64 {
-        self.bound.max_viable_peak(self.priority)
-    }
-
-    /// Publishes a capacity-assessed completion at this run's priority; see
-    /// [`IncumbentBound::publish_capacity`].
-    pub fn publish_capacity(&self, traffic: u64, peak_bytes: u64) {
-        self.bound.publish_capacity(traffic, peak_bytes, self.priority);
-    }
-
-    /// See [`IncumbentBound::max_viable_traffic`].
-    pub fn max_viable_traffic(&self) -> u64 {
-        self.bound.max_viable_traffic(self.priority)
+        if self.ties_lose {
+            self.peak.saturating_sub(1)
+        } else {
+            self.peak
+        }
     }
 
     /// The incumbent peak to report in
     /// [`ScheduleError::BoundBeaten`](crate::ScheduleError).
     pub fn beaten_by(&self) -> u64 {
-        self.bound.peak().unwrap_or(u64::MAX)
+        self.peak
     }
 }
 
@@ -389,7 +183,7 @@ pub enum CompileEvent {
         peak_bytes: u64,
     },
     /// The pipeline started scheduling one candidate graph (the original,
-    /// or the rewritten one under `RewriteMode::{IfBeneficial, Always}`).
+    /// or the rewritten one under `RewriteMode::IfBeneficial`).
     ///
     /// Delimits the event stream: every `SegmentScheduled`/`BudgetProbe`
     /// that follows belongs to this candidate, until the next
@@ -496,9 +290,9 @@ pub enum CompileEvent {
         /// Peak footprint of the chosen schedule in bytes.
         peak_bytes: u64,
     },
-    /// A portfolio member was cut off — never started, or its in-flight
-    /// raced run discarded — because an exact member had already completed
-    /// with a provably optimal peak that no later member could beat.
+    /// A portfolio member was never started because an exact member had
+    /// already completed with a provably optimal peak that no later member
+    /// could beat.
     BackendSkipped {
         /// Skipped backend name.
         name: String,
@@ -561,13 +355,14 @@ pub struct CompileOptions {
     /// the compile pipeline at its named injection points; see
     /// [`crate::fault`].
     pub fault: Option<Arc<FaultPlan>>,
-    /// Shared incumbent-peak bound for branch-and-bound cutoffs (`None`
-    /// disables pruning). Installed by the racing portfolio, the rewrite
-    /// scorer, and the pipeline's seeded re-schedule; consulted inside the
-    /// DP/adaptive transition loops and the beam's per-step cutoff. Like
-    /// `threads`, this is a wall-clock-only knob by construction —
-    /// completed runs are bit-identical with or without it — so it is
-    /// excluded from every `config_fingerprint`.
+    /// Incumbent peak ceiling for branch-and-bound cutoffs (`None`
+    /// disables pruning). Installed through [`CompileContext::with_bound`]
+    /// by the portfolio (per member), the rewrite scorer, and the
+    /// pipeline's seeded re-schedule; read once per run by the DP/adaptive
+    /// transition loops and the beam's per-step cutoff. Like `threads`,
+    /// this is a wall-clock-only knob by construction — completed runs are
+    /// bit-identical with or without it — so it is excluded from every
+    /// `config_fingerprint`.
     pub bound: Option<BoundHandle>,
     /// Hard cap, in bytes, on a search's *own* live memory (DP arenas,
     /// memo index and backtrack records; beam frontiers and records) — not
@@ -645,12 +440,6 @@ impl CompileOptions {
         self
     }
 
-    /// Installs a shared incumbent-peak bound for branch-and-bound cutoffs.
-    pub fn incumbent_bound(mut self, bound: BoundHandle) -> Self {
-        self.bound = Some(bound);
-        self
-    }
-
     /// Caps the search's own live memory (memo arenas, beam frontiers) at
     /// `bytes`; crossing it fails the run with
     /// [`ScheduleError::MemoryBudgetExceeded`].
@@ -704,7 +493,7 @@ impl CompileContext {
                 events,
                 cache: self.options.cache.clone(),
                 fault: self.options.fault.clone(),
-                bound: self.options.bound.clone(),
+                bound: self.options.bound,
                 memory_budget: self.options.memory_budget,
                 capacity: self.options.capacity,
             },
@@ -713,7 +502,7 @@ impl CompileContext {
     }
 
     /// Derives a context identical to this one except for its incumbent
-    /// bound (`None` removes any installed bound). The deadline clock,
+    /// ceiling (`None` removes any installed ceiling). The deadline clock,
     /// cancellation token, event sink, cache, and fault plan are shared.
     pub fn with_bound(&self, bound: Option<BoundHandle>) -> CompileContext {
         let mut options = self.options.clone();
@@ -735,9 +524,9 @@ impl CompileContext {
         CompileContext { options, started: self.started }
     }
 
-    /// The installed incumbent bound, if any.
-    pub fn bound(&self) -> Option<&BoundHandle> {
-        self.options.bound.as_ref()
+    /// The installed incumbent ceiling, if any.
+    pub fn bound(&self) -> Option<BoundHandle> {
+        self.options.bound
     }
 
     /// The search-memory budget in bytes, if one was set.
@@ -1263,31 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn incumbent_bound_packs_peak_over_priority() {
-        let bound = IncumbentBound::new();
-        assert_eq!(bound.max_viable_peak(1), u64::MAX, "empty bound prunes nothing");
-        assert_eq!(bound.peak(), None);
-
-        // A later member's publish tightens the peak…
-        bound.publish(100, 3);
-        assert_eq!(bound.peak(), Some(100));
-        assert_eq!(bound.setter_priority(), Some(3));
-        // …and an equal peak from an *earlier* member takes the tie.
-        bound.publish(100, 2);
-        assert_eq!(bound.setter_priority(), Some(2));
-        // A worse or equal-but-later publish is ignored.
-        bound.publish(100, 5);
-        bound.publish(101, 1);
-        assert_eq!((bound.peak(), bound.setter_priority()), (Some(100), Some(2)));
-
-        // Readers earlier than the setter may still *equal* the incumbent;
-        // readers later than the setter must strictly beat it.
-        assert_eq!(bound.max_viable_peak(1), 100, "earlier reader wins peak ties");
-        assert_eq!(bound.max_viable_peak(2), 100, "the setter itself keeps its own peak");
-        assert_eq!(bound.max_viable_peak(3), 99, "later reader loses peak ties");
-    }
-
-    #[test]
     fn bound_seed_tie_semantics() {
         // A tie-winning seed: equalling it is already a loss.
         let strict = BoundHandle::seeded_incumbent(4096);
@@ -1296,52 +1060,9 @@ mod tests {
         // A tie-losing seed: only strictly worse states are lost.
         let weak = BoundHandle::seeded_weak(4096);
         assert_eq!(weak.max_viable_peak(), 4096);
-        // Member views of one shared bound order by priority.
-        let shared = Arc::clone(weak.shared());
-        let member2 = BoundHandle::new(Arc::clone(&shared), 2);
-        member2.publish(2048);
-        assert_eq!(BoundHandle::new(shared, 3).max_viable_peak(), 2047);
-        assert_eq!(weak.with_priority(1).max_viable_peak(), 2048);
-    }
-
-    #[test]
-    fn capacity_publishes_tighten_peak_only_when_fitting() {
-        let bound = IncumbentBound::new();
-        assert_eq!(bound.max_viable_traffic(1), u64::MAX);
-        assert_eq!(bound.traffic(), None);
-
-        // A spilling incumbent tightens only the traffic word: its peak
-        // must not prune, because a higher-peak order can still win on
-        // traffic.
-        bound.publish_capacity(5000, 120, 2);
-        assert_eq!(bound.traffic(), Some(5000));
-        assert_eq!(bound.peak(), None, "spilling peaks never reach the peak word");
-        assert_eq!(bound.max_viable_peak(1), u64::MAX);
-        assert_eq!(bound.max_viable_traffic(1), 5000, "earlier reader may equal");
-        assert_eq!(bound.max_viable_traffic(3), 4999, "later reader must beat");
-
-        // A fitting (zero-traffic) incumbent tightens both axes: any rival
-        // must itself fit, so the classic peak cutoff becomes sound again.
-        bound.publish_capacity(0, 100, 3);
-        assert_eq!(bound.traffic(), Some(0));
-        assert_eq!(bound.peak(), Some(100));
-        assert_eq!(bound.max_viable_peak(3), 100);
-        assert_eq!(bound.max_viable_peak(4), 99);
-
-        // Handles pass both axes through at their priority.
-        let handle = BoundHandle::new(Arc::new(IncumbentBound::new()), 2);
-        handle.publish_capacity(7, 64);
-        assert_eq!(handle.max_viable_traffic(), 7);
-        assert_eq!(handle.with_priority(3).max_viable_traffic(), 6);
-    }
-
-    #[test]
-    fn oversized_peaks_are_never_published() {
-        let bound = IncumbentBound::new();
-        bound.publish(u64::MAX / 2, 1);
-        assert_eq!(bound.peak(), None, "unpackable peaks leave the bound empty");
-        bound.publish(512, 1);
-        assert_eq!(bound.peak(), Some(512));
+        assert_eq!(weak.beaten_by(), 4096);
+        // A zero-byte tie-winning incumbent prunes every nonempty state.
+        assert_eq!(BoundHandle::seeded_incumbent(0).max_viable_peak(), 0);
     }
 
     #[test]

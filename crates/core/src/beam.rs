@@ -290,6 +290,7 @@ impl BeamScheduler {
         let mut cand_hash: Vec<u64> = Vec::new();
         let mut index = BeamIndex::new();
         let mut ranked: Vec<(u64, u64, u32)> = Vec::new();
+        let bound = ctx.bound();
 
         for step in 0..n {
             cand.clear();
@@ -375,9 +376,9 @@ impl BeamScheduler {
             // Whole-frontier cutoff only: pruning individual candidates
             // would free beam slots for states a serial unbounded run never
             // admits, changing the search. The step exits when *every*
-            // survivor provably loses the race (peaks are monotone, so no
-            // completion through this frontier can win).
-            if let Some(bound) = ctx.bound() {
+            // survivor provably loses to the incumbent ceiling (peaks are
+            // monotone, so no completion through this frontier can win).
+            if let Some(bound) = bound {
                 if ranked.first().is_some_and(|&(peak, _, _)| peak > bound.max_viable_peak()) {
                     return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
                 }
@@ -466,6 +467,7 @@ impl BeamScheduler {
         // Stable sort keys: insertion order among equal `(peak, mu)` keys is
         // preserved, exactly as sorting whole states did.
         let mut ranked: Vec<(u64, u64, u32)> = Vec::new();
+        let bound = ctx.bound();
 
         for step in 0..n {
             cand.clear();
@@ -546,7 +548,7 @@ impl BeamScheduler {
             ranked.sort_unstable();
             // Whole-frontier cutoff; see `run_fixed` for why per-candidate
             // pruning is off the table.
-            if let Some(bound) = ctx.bound() {
+            if let Some(bound) = bound {
                 if ranked.first().is_some_and(|&(peak, _, _)| peak > bound.max_viable_peak()) {
                     return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
                 }
@@ -709,7 +711,7 @@ mod tests {
         use crate::backend::BoundHandle;
         // A tie-winning incumbent at the beam's own peak: somewhere along
         // the run every survivor peaks at or above it, so the search must
-        // exit as a race loss instead of finishing.
+        // exit with BoundBeaten instead of finishing.
         let g = &graphs(1, 14)[0];
         let free = BeamScheduler::new(8).schedule(g).unwrap();
         let ctx = CompileContext::unconstrained()

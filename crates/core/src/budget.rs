@@ -21,7 +21,7 @@
 //!   prefix hoisted to the front. On channel-partitioned concat graphs the
 //!   Kahn order keeps every branch live, so its peak sits far above µ* and
 //!   the first probe prunes almost nothing; the beam's peak is close to µ*.
-//!   The beam runs without the incumbent bound (its whole-frontier cutoff
+//!   The beam runs without the incumbent ceiling (its whole-frontier cutoff
 //!   would give up where the DP may still win), and its counters are part
 //!   of the search's totals.
 //! * **A bracketed bisection.** The search keeps a *floor*, the highest τ
@@ -228,7 +228,7 @@ impl AdaptiveSoftBudget {
         let started = Instant::now();
         ctx.check()?;
         // Starting budget τ₀: the Kahn peak (Algorithm 2, line 3), tightened
-        // by a beam run that ignores the incumbent bound.
+        // by a beam run that ignores the incumbent ceiling.
         let kahn = KahnBackend.schedule_with_prefix(graph, prefix, ctx)?;
         let beam = BeamBackend::new(START_BEAM_WIDTH).schedule_with_prefix(
             graph,

@@ -7,7 +7,7 @@
 //! schedule is then assessed with the Belady simulator from
 //! `serenity-memsim` and annotated with a [`CapacityReport`]; under
 //! [`CapacityObjective::MinTraffic`] the rewrite loop, the allocator-input
-//! canonicalization, and the portfolio race all rank candidates
+//! canonicalization, and the portfolio all rank candidates
 //! lexicographically by `(fits, traffic, peak)` instead of peak alone.
 //!
 //! The ranking leans on one structural fact of the simulator: dead tensors
@@ -17,11 +17,11 @@
 //!
 //! * `Fit` needs no ranking change — minimizing peak already maximizes the
 //!   chance of fitting — so it only adds the report and its verification.
-//! * Peak-based pruning bounds stay sound under `MinTraffic` *only* below a
-//!   fitting (zero-traffic) incumbent; a spilling incumbent's peak must not
-//!   prune, because a higher-peak order can still pay less traffic. The
-//!   [`IncumbentBound`](crate::backend::IncumbentBound) traffic axis
-//!   encodes exactly this rule.
+//! * Peak-based pruning ceilings stay sound under `MinTraffic` *only* below
+//!   a fitting (zero-traffic) incumbent; a spilling incumbent's peak must
+//!   not prune, because a higher-peak order can still pay less traffic. The
+//!   pipeline's seeded re-schedule, the rewrite scorer and the portfolio
+//!   all install a peak ceiling only under this rule.
 
 use serde::{Deserialize, Serialize};
 use serenity_ir::{mem, Graph, NodeId};

@@ -284,8 +284,11 @@ impl DivideAndConquer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BeamBackend, CancelToken, CompileOptions, DpBackend, GreedyBackend};
+    use crate::backend::{
+        BeamBackend, BoundHandle, CancelToken, CompileOptions, DpBackend, GreedyBackend,
+    };
     use crate::dp::DpScheduler;
+    use crate::registry::PortfolioBackend;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use serenity_ir::random_dag::hourglass_stack;
@@ -374,6 +377,42 @@ mod tests {
         let ctx = CompileContext::new(CompileOptions::new().cancel_token(token));
         let err = DivideAndConquer::new().schedule_with_ctx(&g, &ctx).unwrap_err();
         assert!(matches!(err, ScheduleError::Cancelled));
+    }
+
+    /// A one-node chain, then the greedy trap of
+    /// `baseline::tests::greedy_is_not_optimal` behind the cut at `root`,
+    /// with `y1` added before `x1` so that Kahn and DFS fall into it too:
+    /// the second segment's optimum is 91 B, while greedy, Kahn and DFS
+    /// peak at 92 B. The first segment peaks far below either.
+    fn chain_then_trap() -> Graph {
+        let mut g = Graph::new("chain-then-trap");
+        let head = g.add_opaque("head", 1, &[]).unwrap();
+        let root = g.add_opaque("root", 1, &[head]).unwrap();
+        let y1 = g.add_opaque("y1", 40, &[root]).unwrap();
+        let x1 = g.add_opaque("x1", 2, &[root]).unwrap();
+        let x2 = g.add_opaque("x2", 50, &[x1]).unwrap();
+        let join = g.add_opaque("join", 1, &[x2, y1]).unwrap();
+        g.mark_output(join);
+        g
+    }
+
+    #[test]
+    fn portfolio_segments_never_constrain_each_other() {
+        // Under a loose caller ceiling every segment must get its unbounded
+        // schedule: an earlier segment's low peak must not become the
+        // incumbent of a later one.
+        let g = chain_then_trap();
+        let divide = DivideAndConquer::new().backend(Arc::new(PortfolioBackend::standard()));
+        let free = divide.schedule(&g).unwrap();
+        let peaks: Vec<u64> = free.segments.iter().map(|s| s.peak_bytes).collect();
+        assert!(peaks.len() >= 2 && peaks[0] < peaks[peaks.len() - 1], "{peaks:?}");
+        assert_eq!(free.schedule.peak_bytes, 91);
+        let ctx = CompileContext::unconstrained()
+            .with_bound(Some(BoundHandle::seeded_weak(free.schedule.peak_bytes)));
+        let bounded = divide.schedule_with_ctx(&g, &ctx).unwrap();
+        assert_eq!(bounded.schedule, free.schedule);
+        let bounded_peaks: Vec<u64> = bounded.segments.iter().map(|s| s.peak_bytes).collect();
+        assert_eq!(bounded_peaks, peaks);
     }
 
     #[test]

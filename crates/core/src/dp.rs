@@ -70,7 +70,7 @@
 //! keeps the candidate with the smallest `(parent hash, parent z, node)` —
 //! a key intrinsic to the candidate, never its arrival position. The
 //! survivor is therefore a function of the signature set alone: expansion
-//! order, sharding, and incumbent-bound pruning of losing states cannot
+//! order, sharding, and incumbent-ceiling pruning of losing states cannot
 //! change it.
 //!
 //! Two §3.2 accelerations are integrated here rather than layered on top:
@@ -94,7 +94,7 @@ use serenity_ir::mem::{CostModel, FixedTable, FootprintTracker, TransitionTable}
 use serenity_ir::set::wordset;
 use serenity_ir::{Graph, GraphError, NodeId, NodeSet, ZobristTable};
 
-use crate::backend::{BoundHandle, CompileContext};
+use crate::backend::CompileContext;
 use crate::{Schedule, ScheduleError, ScheduleStats};
 
 /// Why a transition was discarded rather than merged into the next arena.
@@ -102,8 +102,8 @@ use crate::{Schedule, ScheduleError, ScheduleStats};
 enum Pruned {
     /// The peak exceeded the soft budget τ (§3.2 pruning).
     Budget,
-    /// The peak provably loses to the shared
-    /// [`IncumbentBound`](crate::backend::IncumbentBound) — branch-and-bound.
+    /// The peak provably loses to the context's incumbent ceiling
+    /// ([`BoundHandle`](crate::backend::BoundHandle)) — branch-and-bound.
     Bound,
 }
 
@@ -629,13 +629,6 @@ fn shard_of(hash: u64, shards: usize) -> usize {
     (hash >> 48) as usize & (shards - 1)
 }
 
-/// The largest running peak that can still win against the installed
-/// incumbent bound (`u64::MAX` when no bound is installed — prunes nothing).
-#[inline]
-fn max_viable_of(bound: Option<&BoundHandle>) -> u64 {
-    bound.map_or(u64::MAX, BoundHandle::max_viable_peak)
-}
-
 /// Raises the search-memory high-water mark to `live` bytes and enforces
 /// the context's memory budget against it.
 fn account_memory(
@@ -654,6 +647,9 @@ struct Moves<T> {
     zobrist: ZobristTable,
     /// Per node, the XOR of its auto-ready successors' Zobrist keys.
     auto_hash: Vec<u64>,
+    /// The largest running peak that can still beat the context's incumbent
+    /// ceiling (`u64::MAX` without one — prunes nothing). Read once per run.
+    ceiling: u64,
 }
 
 const ROOT: u32 = u32::MAX;
@@ -816,17 +812,17 @@ impl DpScheduler {
             })
             .collect();
         let words = table.words();
-        let moves = Moves { table: A::table(table), zobrist, auto_hash };
+        let bound = ctx.bound();
+        let ceiling = bound.map_or(u64::MAX, |b| b.max_viable_peak());
+        let moves = Moves { table: A::table(table), zobrist, auto_hash, ceiling };
         let mut frontier: A = self.root_arena(graph, &cost, &moves.zobrist, words, prefix)?;
         if let Some(budget) = self.config.budget {
             if frontier.meta(0).peak > budget {
                 return Err(ScheduleError::NoSolution { budget });
             }
         }
-        if let Some(bound) = ctx.bound() {
-            if frontier.meta(0).peak > bound.max_viable_peak() {
-                return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
-            }
+        if let Some(bound) = bound.filter(|_| frontier.meta(0).peak > ceiling) {
+            return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
         }
 
         stats.states = 1;
@@ -850,14 +846,12 @@ impl DpScheduler {
             if next.len() == 0 {
                 let budget = self.config.budget.unwrap_or(u64::MAX);
                 // Discriminate the two pruning regimes: when the incumbent
-                // bound is strictly tighter than τ, every budget-pruned state
-                // was also bound-prunable, so the emptiness is a race loss —
-                // without the bound a τ-feasible schedule may still exist.
-                // Sound under a monotonically tightening bound.
-                if let Some(bound) = ctx.bound() {
-                    if bound.max_viable_peak() < budget {
-                        return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
-                    }
+                // ceiling is strictly tighter than τ, every budget-pruned
+                // state was also ceiling-prunable, so the emptiness means the
+                // incumbent stands — without the ceiling a τ-feasible
+                // schedule may still exist.
+                if let Some(bound) = bound.filter(|_| ceiling < budget) {
+                    return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
                 }
                 return Err(ScheduleError::NoSolution { budget });
             }
@@ -963,8 +957,6 @@ impl DpScheduler {
         let mut arena = frontier.sibling(frontier.len());
         index.reset(frontier.len());
         let mut sets = frontier.scratch();
-        let bound = ctx.bound();
-        let mut max_viable = max_viable_of(bound);
         let mut transitions = 0u64;
         let mut pruned = 0u64;
         let mut bound_pruned = 0u64;
@@ -978,11 +970,8 @@ impl DpScheduler {
                     if aborted.is_err() {
                         break 'sweep;
                     }
-                    // The bound only tightens, so refreshing at the check
-                    // cadence is sound; a stale value merely prunes less.
-                    max_viable = max_viable_of(bound);
                 }
-                match self.transition(moves, frontier, &meta, si, u, max_viable, &mut sets) {
+                match self.transition(moves, frontier, &meta, si, u, &mut sets) {
                     Ok(candidate) => {
                         let freed = || frontier.free_bytes(&moves.table, si, u);
                         merge_candidate(&mut arena, index, frontier, &sets, candidate, freed);
@@ -1036,8 +1025,6 @@ impl DpScheduler {
                     scope.spawn(move || -> ChunkResult<A> {
                         let mut blocks: Vec<A> = (0..shards).map(|_| frontier.sibling(0)).collect();
                         let mut sets = frontier.scratch();
-                        let bound = ctx.bound();
-                        let mut max_viable = max_viable_of(bound);
                         let mut transitions = 0u64;
                         let mut pruned = 0u64;
                         let mut bound_pruned = 0u64;
@@ -1052,11 +1039,8 @@ impl DpScheduler {
                                     {
                                         return (Err(e), transitions, pruned, bound_pruned);
                                     }
-                                    max_viable = max_viable_of(bound);
                                 }
-                                match self.transition(
-                                    moves, frontier, &meta, si, u, max_viable, &mut sets,
-                                ) {
+                                match self.transition(moves, frontier, &meta, si, u, &mut sets) {
                                     Ok(mut candidate) => {
                                         candidate.mu -= frontier.free_bytes(&moves.table, si, u);
                                         let shard = shard_of(candidate.hash, shards);
@@ -1150,9 +1134,8 @@ impl DpScheduler {
     /// the freed bytes ([`Arena::free_bytes`]) once it needs the µ of a new
     /// signature. Returns the prune kind when the transition is discarded:
     /// running peaks are monotone along a schedule path, so a state whose
-    /// peak already exceeds the soft budget (or provably loses to the
-    /// incumbent bound's `max_viable` peak) can never recover.
-    #[allow(clippy::too_many_arguments)]
+    /// peak already exceeds the soft budget (or the incumbent ceiling,
+    /// [`Moves::ceiling`]) can never recover.
     #[inline]
     fn transition<A: Arena>(
         &self,
@@ -1161,7 +1144,6 @@ impl DpScheduler {
         meta: &StateMeta,
         si: usize,
         u: NodeId,
-        max_viable: u64,
         sets: &mut A::Sets,
     ) -> Result<StateMeta, Pruned> {
         let mu_after_alloc = meta.mu + frontier.alloc_bytes(&moves.table, si, u);
@@ -1171,7 +1153,7 @@ impl DpScheduler {
                 return Err(Pruned::Budget);
             }
         }
-        if peak > max_viable {
+        if peak > moves.ceiling {
             return Err(Pruned::Bound);
         }
         let ready = frontier.successor(&moves.table, &moves.zobrist, si, u, sets);
@@ -1465,6 +1447,31 @@ mod tests {
     }
 
     #[test]
+    fn greedy_peak_ceiling_prunes_a_randwire_cell_at_identical_results() {
+        use crate::backend::{BoundHandle, CompileContext};
+        use serenity_nets::randwire::{randwire_cell, RandWireConfig};
+        // A weak ceiling at the greedy peak — the incumbent a portfolio's
+        // cheap member hands the DP — keeps the unbounded schedule while
+        // pruning live states and saving transitions.
+        let g = randwire_cell(&RandWireConfig {
+            nodes: 12,
+            seed: 9,
+            hw: 4,
+            channels: 4,
+            ..Default::default()
+        });
+        let greedy = crate::baseline::greedy(&g).unwrap();
+        let free = DpScheduler::new().schedule(&g).unwrap();
+        let ctx = CompileContext::unconstrained()
+            .with_bound(Some(BoundHandle::seeded_weak(greedy.peak_bytes)));
+        let bounded = DpScheduler::new().schedule_with_prefix_ctx(&g, &[], &ctx).unwrap();
+        assert_eq!(bounded.schedule.peak_bytes, free.schedule.peak_bytes);
+        assert_eq!(bounded.schedule.order, free.schedule.order);
+        assert!(bounded.stats.bound_pruned > 0, "the greedy ceiling must prune");
+        assert!(bounded.stats.transitions <= free.stats.transitions);
+    }
+
+    #[test]
     fn bound_pruned_random_dags_keep_the_unpruned_peak() {
         use crate::backend::{BoundHandle, CompileContext};
         use rand::SeedableRng;
@@ -1508,8 +1515,8 @@ mod tests {
             };
             let g = serenity_ir::random_dag::random_dag(&config, &mut rng);
             let free = DpScheduler::new().schedule(&g).unwrap();
-            // A later-priority setter at µ* — exactly what a racing portfolio
-            // member publishes — so ties survive and only worse states prune.
+            // A tie-losing ceiling at µ*, so ties survive and only worse
+            // states prune.
             let ctx = CompileContext::unconstrained()
                 .with_bound(Some(BoundHandle::seeded_weak(free.schedule.peak_bytes)));
             let bounded = DpScheduler::new().schedule_with_prefix_ctx(&g, &[], &ctx).unwrap();
@@ -1524,7 +1531,7 @@ mod tests {
         let g = branchy();
         let optimal = DpScheduler::new().schedule(&g).unwrap().schedule.peak_bytes;
         // A tie-winning incumbent at µ*: even the optimum is a loss, and the
-        // emptiness must be reported as a race loss, never NoSolution.
+        // emptiness must be reported as BoundBeaten, never NoSolution.
         let ctx = CompileContext::unconstrained()
             .with_bound(Some(BoundHandle::seeded_incumbent(optimal)));
         let err = DpScheduler::new().schedule_with_prefix_ctx(&g, &[], &ctx).unwrap_err();

@@ -68,12 +68,12 @@ pub enum ScheduleError {
         /// The configured budget in bytes.
         budget: u64,
     },
-    /// The search was cut off by a shared
-    /// [`IncumbentBound`](crate::backend::IncumbentBound): every surviving
-    /// state was provably unable to beat a peak some other portfolio member
-    /// (or caller-provided seed) already achieved. This is a *race loss*,
-    /// not a failure — the portfolio and the rewrite scorer treat it as
-    /// "the incumbent stands" and it must never surface to users.
+    /// The search was cut off by an incumbent ceiling
+    /// ([`BoundHandle`](crate::backend::BoundHandle)): every surviving state
+    /// was provably unable to beat a peak an earlier portfolio member (or a
+    /// caller-provided seed) already achieved. This is a *loss*, not a
+    /// failure — the pipeline, the portfolio and the rewrite scorer treat it
+    /// as "the incumbent stands" and it must never surface to users.
     BoundBeaten {
         /// The incumbent peak (in bytes) that could not be beaten.
         bound: u64,

@@ -126,7 +126,7 @@ pub mod verify;
 
 pub use backend::{
     BackendOutcome, BoundHandle, CancelToken, CompileContext, CompileEvent, CompileOptions,
-    IncumbentBound, SchedulerBackend,
+    SchedulerBackend,
 };
 pub use cache::{AdmissionPolicy, CacheStats, CompileCache, CompileCacheConfig, PersistReport};
 pub use capacity::{CapacityObjective, CapacityReport, CapacityTarget};

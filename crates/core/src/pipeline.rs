@@ -510,7 +510,7 @@ impl Serenity {
                 }
                 Err(ScheduleError::BoundBeaten { .. }) => {
                     // The rewritten graph provably cannot beat the original
-                    // schedule: keep the original and record the race loss.
+                    // schedule: keep the original and record the loss.
                     stats.bound_beaten_exits += 1;
                     if let Some(summary) = rewrite_search.as_mut() {
                         summary.kept = false;
@@ -936,6 +936,39 @@ mod tests {
             .unwrap()
             .iter()
             .any(|e| matches!(e, CompileEvent::BackendChosen { .. })));
+    }
+
+    #[test]
+    fn portfolio_compiles_match_adaptive_with_and_without_a_cache() {
+        // The rewritten graph's re-schedule runs every divide-and-conquer
+        // segment under one seeded ceiling. A portfolio that fed one
+        // segment's peak into the next segment's ceiling returned 230,400 B
+        // on SwiftNet-A cache-free, where `adaptive` (its first member)
+        // returns 184,320 B.
+        let graphs = [
+            serenity_nets::suite::by_id("swiftnet-a").unwrap().graph,
+            serenity_nets::swiftnet::swiftnet(),
+        ];
+        let compile = |backend: Arc<dyn SchedulerBackend>, cache: Option<Arc<CompileCache>>| {
+            let mut builder = Serenity::builder().backend(backend);
+            if let Some(cache) = cache {
+                builder = builder.compile_cache(cache);
+            }
+            let serenity = builder.build();
+            move |g: &Graph| {
+                let compiled = serenity.compile(g).unwrap();
+                (compiled.peak_bytes, compiled.arena_bytes(), compiled.schedule.order)
+            }
+        };
+        let adaptive = compile(Arc::new(AdaptiveBackend::default()), None);
+        let portfolio = || Arc::new(crate::registry::PortfolioBackend::standard());
+        let cache_free = compile(portfolio(), None);
+        let cached = compile(portfolio(), Some(Arc::new(CompileCache::new())));
+        for g in &graphs {
+            let expected = adaptive(g);
+            assert_eq!(cache_free(g), expected, "cache-free portfolio on {}", g.name());
+            assert_eq!(cached(g), expected, "cached portfolio on {}", g.name());
+        }
     }
 
     /// A backend that always panics, for ladder containment tests.

@@ -2,19 +2,17 @@
 //! multi-backend [`PortfolioBackend`].
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use serenity_ir::{Graph, NodeId};
 
 use crate::backend::{
     AdaptiveBackend, BackendOutcome, BeamBackend, BoundHandle, BruteForceBackend, CompileContext,
-    CompileEvent, DfsBackend, DpBackend, GreedyBackend, IncumbentBound, KahnBackend,
-    SchedulerBackend,
+    CompileEvent, DfsBackend, DpBackend, GreedyBackend, KahnBackend, SchedulerBackend,
 };
 use crate::capacity::CapacityTarget;
-use crate::{Schedule, ScheduleError, ScheduleStats};
+use crate::{ScheduleError, ScheduleStats};
 
 /// Creates a fresh backend instance.
 pub type BackendFactory = Arc<dyn Fn() -> Arc<dyn SchedulerBackend> + Send + Sync>;
@@ -92,7 +90,7 @@ impl BackendRegistry {
     }
 }
 
-/// Runs several backends and keeps the minimum-peak schedule.
+/// Runs several backends in order and keeps the minimum-peak schedule.
 ///
 /// Member errors other than [`ScheduleError::Cancelled`] and
 /// [`ScheduleError::DeadlineExceeded`] (e.g. a brute-force
@@ -101,62 +99,51 @@ impl BackendRegistry {
 /// deadline aborts propagate immediately — a portfolio under a spent
 /// deadline returns the abort, not a partial winner.
 ///
-/// # The race
+/// # Incumbent ceilings
 ///
-/// Members share an [`IncumbentBound`]: every completed member publishes its
-/// peak (tagged with its member index as the tie priority), and the
-/// branch-and-bound engines (`dp`, `adaptive`, `beam`) prune states that
-/// provably lose to the incumbent, exiting with
-/// [`ScheduleError::BoundBeaten`] — a race *loss*, counted but never
-/// surfaced. With [`PortfolioBackend::threads`] ≥ 2 the members actually
-/// race on `std::thread::scope` workers; serially the bound still flows
-/// forward, so cheap members sharpen the expensive ones that follow.
-/// Winner selection is min-peak with the earlier member keeping ties in
-/// both modes, and a member that completes under the bound is bit-identical
-/// to its unbounded run, so the raced schedule, winner, and event stream
-/// equal the serial ones at any thread count (stats are wall-clock shaped
-/// and exempt). Serial mode additionally splits the remaining deadline
-/// fairly across unstarted members (floor 5 ms) so one slow member cannot
-/// starve the rest, and both modes skip every member after the first
-/// *exact* completer (`adaptive`/`dp`/`brute-force`) — no one can beat a
-/// provably optimal peak.
+/// Each member runs under the tighter of the caller's ceiling (if any) and
+/// the best earlier member's peak as a tie-winning ceiling
+/// ([`BoundHandle::seeded_incumbent`]), so cheap members sharpen the
+/// expensive ones that follow. The branch-and-bound engines (`dp`,
+/// `adaptive`, `beam`) prune states that provably lose to it, exiting with
+/// [`ScheduleError::BoundBeaten`] — a loss, counted but never surfaced. The
+/// incumbent is local to one run: nothing is published back to the caller,
+/// so one divide-and-conquer segment never constrains another. Winner
+/// selection is min-peak with the earlier member keeping ties, and a member
+/// that completes under a ceiling returns its unbounded schedule, so the
+/// portfolio is never worse than any of its members. The remaining
+/// deadline is split fairly across unstarted members (floor 5 ms) so one
+/// slow member cannot starve the rest, and every member after the first
+/// *exact* completer (`adaptive`/`dp`/`brute-force`) is skipped — no one
+/// can beat a provably optimal peak.
 ///
 /// # Capacity targets
 ///
 /// Under a steering [`CapacityTarget`] (objective `MinTraffic`), every
 /// completed member is assessed with the Belady simulator and the winner is
 /// the lexicographically smallest `(fits, traffic, peak)` rank — earlier
-/// member still keeping ties. Members publish through
-/// [`BoundHandle::publish_capacity`], which tightens the shared *peak* word
-/// only for fitting (zero-traffic) schedules: a spilling incumbent's peak
-/// must never prune, because a higher-peak order can still pay less
-/// traffic. For the same reason the exact-completer cutoff only fires when
-/// the exact member's provably peak-optimal schedule also *fits* — if the
-/// optimal peak spills, nothing fits, and a later member may still win on
-/// traffic.
+/// member still keeping ties. A member's peak tightens the incumbent only
+/// when its schedule fits: a spilling incumbent's peak must never prune,
+/// because a higher-peak order can still pay less traffic. For the same
+/// reason the exact-completer cutoff only fires when the exact member's
+/// provably peak-optimal schedule also *fits* — if the optimal peak spills,
+/// nothing fits, and a later member may still win on traffic.
 ///
 /// Emits [`CompileEvent::BackendStarted`] per member ran,
 /// [`CompileEvent::BackendSkipped`] per member cut off by an exact
 /// completer, and one [`CompileEvent::BackendChosen`] for the winner.
 pub struct PortfolioBackend {
     backends: Vec<Arc<dyn SchedulerBackend>>,
-    threads: usize,
 }
 
-/// Serial mode's per-member deadline floor, mirroring the degradation
-/// ladder's minimum rung budget.
+/// Per-member deadline floor, mirroring the degradation ladder's minimum
+/// rung budget.
 const MIN_MEMBER_SLICE: Duration = Duration::from_millis(5);
 
 /// Backends whose successful completion is provably footprint-optimal:
-/// no later member can beat it, so the portfolio cuts the race off.
+/// no later member can beat it, so the portfolio skips the rest.
 fn is_exact(name: &str) -> bool {
     matches!(name, "dp" | "adaptive" | "brute-force")
-}
-
-/// The shared-bound setter priority of member `index`: `1..`, leaving 0 for
-/// a caller's tie-winning seed and `u16::MAX` for tie-losing seeds.
-fn member_priority(index: usize) -> u16 {
-    u16::try_from(index + 1).unwrap_or(u16::MAX - 1)
 }
 
 /// A member schedule's `(fits, traffic, peak)` rank under a steering
@@ -164,28 +151,11 @@ fn member_priority(index: usize) -> u16 {
 /// [`CapacityReport::rank`](crate::capacity::CapacityReport::rank)).
 type CapacityRank = (u64, u64, u64);
 
-/// Assesses a completed member schedule against the steering target,
-/// returning `(total_traffic, rank)` for publishing and winner selection.
-fn assess_member(
-    graph: &Graph,
-    schedule: &Schedule,
-    target: CapacityTarget,
-) -> Result<(u64, CapacityRank), ScheduleError> {
-    let report = crate::capacity::assess_for_driver(graph, &schedule.order, target)?;
-    Ok((report.total_traffic(), report.rank(schedule.peak_bytes)))
-}
-
 /// Whether `rank`'s schedule fits the capacity outright (the first
 /// lexicographic component is the "does not fit" flag).
 fn rank_fits(rank: &CapacityRank) -> bool {
     rank.0 == 0
 }
-
-/// What one raced member produced: its result (with its capacity rank when
-/// a steering target is set) plus the events it buffered, replayed in
-/// member order after the race settles.
-type MemberRun =
-    (usize, Result<(BackendOutcome, Option<CapacityRank>), ScheduleError>, Vec<CompileEvent>);
 
 impl std::fmt::Debug for PortfolioBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -203,20 +173,7 @@ impl PortfolioBackend {
     /// Panics if `backends` is empty.
     pub fn new(backends: Vec<Arc<dyn SchedulerBackend>>) -> Self {
         assert!(!backends.is_empty(), "portfolio needs at least one backend");
-        PortfolioBackend { backends, threads: 1 }
-    }
-
-    /// Sets the number of racing worker threads (1 = serial, the default).
-    /// Results are bit-identical at any thread count; only wall-clock time
-    /// changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "at least one thread is required");
-        self.threads = threads;
-        self
+        PortfolioBackend { backends }
     }
 
     /// The standard portfolio: adaptive budgeting (optimal when it
@@ -243,42 +200,27 @@ impl PortfolioBackend {
         run_member: F,
     ) -> Result<BackendOutcome, ScheduleError>
     where
-        F: Fn(&Arc<dyn SchedulerBackend>, &CompileContext) -> Result<BackendOutcome, ScheduleError>
-            + Sync,
-    {
-        // Reuse a caller-installed bound (the pipeline's seeded incumbent
-        // then governs the members too); otherwise race on a fresh one.
-        let bound = match ctx.bound() {
-            Some(handle) => Arc::clone(handle.shared()),
-            None => Arc::new(IncumbentBound::new()),
-        };
-        if self.threads > 1 && self.backends.len() > 1 {
-            self.run_raced(graph, ctx, &bound, &run_member)
-        } else {
-            self.run_serial(graph, ctx, &bound, &run_member)
-        }
-    }
-
-    fn run_serial<F>(
-        &self,
-        graph: &Graph,
-        ctx: &CompileContext,
-        bound: &Arc<IncumbentBound>,
-        run_member: &F,
-    ) -> Result<BackendOutcome, ScheduleError>
-    where
         F: Fn(&Arc<dyn SchedulerBackend>, &CompileContext) -> Result<BackendOutcome, ScheduleError>,
     {
         let target = ctx.capacity().filter(CapacityTarget::steers_search);
         let total = self.backends.len();
         let mut best: Option<(usize, BackendOutcome, Option<CapacityRank>)> = None;
+        // The smallest peak of a completed (and, under a steering target,
+        // fitting) member: later members must beat it strictly.
+        let mut incumbent: Option<u64> = None;
         let mut first_error: Option<ScheduleError> = None;
         let mut bound_beaten: Option<ScheduleError> = None;
         let mut total_stats = ScheduleStats::default();
         for (index, backend) in self.backends.iter().enumerate() {
             ctx.check()?;
-            let handle = BoundHandle::new(Arc::clone(bound), member_priority(index));
-            let mut member_ctx = ctx.with_bound(Some(handle.clone()));
+            // The tighter ceiling prunes more; on equal pruning the caller's
+            // is kept, so a loss reports the caller's incumbent.
+            let ceiling = ctx
+                .bound()
+                .into_iter()
+                .chain(incumbent.map(BoundHandle::seeded_incumbent))
+                .min_by_key(BoundHandle::max_viable_peak);
+            let mut member_ctx = ctx.with_bound(ceiling);
             if index + 1 < total {
                 if let Some(deadline) = ctx.options().deadline {
                     // Fair split: every unstarted member gets an equal share
@@ -294,29 +236,31 @@ impl PortfolioBackend {
             let assessed = run_member(backend, &member_ctx).and_then(|outcome| {
                 let rank = match target {
                     Some(t) => {
-                        let (traffic, rank) = assess_member(graph, &outcome.schedule, t)?;
-                        handle.publish_capacity(traffic, outcome.schedule.peak_bytes);
-                        Some(rank)
+                        let report =
+                            crate::capacity::assess_for_driver(graph, &outcome.schedule.order, t)?;
+                        Some(report.rank(outcome.schedule.peak_bytes))
                     }
-                    None => {
-                        handle.publish(outcome.schedule.peak_bytes);
-                        None
-                    }
+                    None => None,
                 };
                 Ok((outcome, rank))
             });
             match assessed {
                 Ok((outcome, rank)) => {
                     total_stats.absorb(&outcome.stats);
+                    let peak = outcome.schedule.peak_bytes;
+                    let fits = rank.as_ref().is_none_or(rank_fits);
+                    if fits {
+                        incumbent = Some(incumbent.map_or(peak, |p| p.min(peak)));
+                    }
                     let better =
                         best.as_ref().is_none_or(|(_, b, best_rank)| match (&rank, best_rank) {
                             (Some(r), Some(br)) => r < br,
-                            _ => outcome.schedule.peak_bytes < b.schedule.peak_bytes,
+                            _ => peak < b.schedule.peak_bytes,
                         });
                     if better {
                         best = Some((index, outcome, rank));
                     }
-                    if is_exact(backend.name()) && rank.as_ref().is_none_or(rank_fits) {
+                    if is_exact(backend.name()) && fits {
                         // A completed exact member is provably optimal: no
                         // later member can beat it, only tie and lose. Under
                         // a steering target this holds only when the optimal
@@ -334,7 +278,7 @@ impl PortfolioBackend {
                 Err(ScheduleError::Cancelled) => return Err(ScheduleError::Cancelled),
                 Err(deadline @ ScheduleError::DeadlineExceeded { .. }) => {
                     // A member exhausting its *slice* is a loss; only the
-                    // global deadline (re-checked here) aborts the race.
+                    // global deadline (re-checked here) aborts the run.
                     ctx.check()?;
                     first_error.get_or_insert(deadline);
                 }
@@ -347,172 +291,8 @@ impl PortfolioBackend {
                 }
             }
         }
-        self.finish(ctx, best.map(|(i, o, _)| (i, o)), total_stats, first_error, bound_beaten)
-    }
-
-    /// Races the members across `self.threads` scoped workers. Each member
-    /// buffers its events and publishes its completed peak to the shared
-    /// bound; afterwards the buffers are replayed in *member order* up to
-    /// the earliest exact completer — exactly the serial stream. Members
-    /// past that cut are dropped unabsorbed (serial never ran them).
-    fn run_raced<F>(
-        &self,
-        graph: &Graph,
-        ctx: &CompileContext,
-        bound: &Arc<IncumbentBound>,
-        run_member: &F,
-    ) -> Result<BackendOutcome, ScheduleError>
-    where
-        F: Fn(&Arc<dyn SchedulerBackend>, &CompileContext) -> Result<BackendOutcome, ScheduleError>
-            + Sync,
-    {
-        let target = ctx.capacity().filter(CapacityTarget::steers_search);
-        let total = self.backends.len();
-        ctx.check()?;
-        let next = AtomicUsize::new(0);
-        // Smallest member index known to be an exact completer; members
-        // beyond it need not start. Only ever shrinks, so a skip decided
-        // against a stale value is still a skip against the final cut.
-        let cutoff = AtomicUsize::new(total);
-        let workers = self.threads.min(total);
-        let mut runs: Vec<MemberRun> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (next, cutoff) = (&next, &cutoff);
-                    scope.spawn(move || {
-                        let mut out: Vec<MemberRun> = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= total {
-                                break;
-                            }
-                            if index > cutoff.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            let backend = &self.backends[index];
-                            let buffer: Arc<Mutex<Vec<CompileEvent>>> =
-                                Arc::new(Mutex::new(Vec::new()));
-                            let sink = Arc::clone(&buffer);
-                            let handle =
-                                BoundHandle::new(Arc::clone(bound), member_priority(index));
-                            let member_ctx = ctx.with_bound(Some(handle.clone())).with_event_sink(
-                                Some(Arc::new(move |e: &CompileEvent| {
-                                    sink.lock().expect("event buffer poisoned").push(e.clone());
-                                })),
-                            );
-                            let result = run_member(backend, &member_ctx).and_then(|outcome| {
-                                let rank = match target {
-                                    Some(t) => {
-                                        let (traffic, rank) =
-                                            assess_member(graph, &outcome.schedule, t)?;
-                                        handle
-                                            .publish_capacity(traffic, outcome.schedule.peak_bytes);
-                                        Some(rank)
-                                    }
-                                    None => {
-                                        handle.publish(outcome.schedule.peak_bytes);
-                                        None
-                                    }
-                                };
-                                if is_exact(backend.name()) && rank.as_ref().is_none_or(rank_fits) {
-                                    cutoff.fetch_min(index, Ordering::Relaxed);
-                                }
-                                Ok((outcome, rank))
-                            });
-                            let events =
-                                std::mem::take(&mut *buffer.lock().expect("event buffer poisoned"));
-                            out.push((index, result, events));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("portfolio worker does not panic"))
-                .collect()
-        });
-        runs.sort_unstable_by_key(|(index, _, _)| *index);
-
-        // The serial cut: serial mode stops after the earliest exact
-        // completer, so only members up to it contribute results, stats,
-        // and events; everyone later is "skipped" no matter what the race
-        // happened to execute.
-        let exact_cut = runs
-            .iter()
-            .filter(|(index, result, _)| match result {
-                // Same gate as the serial cut: the exact member's optimal
-                // peak must also fit when a steering target is set.
-                Ok((_, rank)) => {
-                    is_exact(self.backends[*index].name()) && rank.as_ref().is_none_or(rank_fits)
-                }
-                Err(_) => false,
-            })
-            .map(|(index, _, _)| *index)
-            .min();
-        let cut = exact_cut.unwrap_or(total - 1);
-
-        let mut best: Option<(usize, BackendOutcome, Option<CapacityRank>)> = None;
-        let mut first_error: Option<ScheduleError> = None;
-        let mut bound_beaten: Option<ScheduleError> = None;
-        let mut total_stats = ScheduleStats::default();
-        for (index, result, events) in runs {
-            if index > cut {
-                continue;
-            }
-            ctx.emit(CompileEvent::BackendStarted {
-                name: self.backends[index].name().to_string(),
-            });
-            for event in events {
-                ctx.emit(event);
-            }
-            match result {
-                Ok((outcome, rank)) => {
-                    total_stats.absorb(&outcome.stats);
-                    let better =
-                        best.as_ref().is_none_or(|(_, b, best_rank)| match (&rank, best_rank) {
-                            (Some(r), Some(br)) => r < br,
-                            _ => outcome.schedule.peak_bytes < b.schedule.peak_bytes,
-                        });
-                    if better {
-                        best = Some((index, outcome, rank));
-                    }
-                }
-                Err(ScheduleError::Cancelled) => return Err(ScheduleError::Cancelled),
-                Err(deadline @ ScheduleError::DeadlineExceeded { .. }) => {
-                    // No slicing in raced mode: a member deadline is the
-                    // global one, so this re-check propagates the abort.
-                    ctx.check()?;
-                    first_error.get_or_insert(deadline);
-                }
-                Err(beaten @ ScheduleError::BoundBeaten { .. }) => {
-                    total_stats.bound_beaten_exits += 1;
-                    bound_beaten.get_or_insert(beaten);
-                }
-                Err(other) => {
-                    first_error.get_or_insert(other);
-                }
-            }
-        }
-        if exact_cut.is_some() {
-            for skipped in &self.backends[cut + 1..] {
-                ctx.emit(CompileEvent::BackendSkipped { name: skipped.name().to_string() });
-            }
-            total_stats.race_cutoffs += (total - cut - 1) as u64;
-        }
-        self.finish(ctx, best.map(|(i, o, _)| (i, o)), total_stats, first_error, bound_beaten)
-    }
-
-    fn finish(
-        &self,
-        ctx: &CompileContext,
-        best: Option<(usize, BackendOutcome)>,
-        total_stats: ScheduleStats,
-        first_error: Option<ScheduleError>,
-        bound_beaten: Option<ScheduleError>,
-    ) -> Result<BackendOutcome, ScheduleError> {
         match best {
-            Some((index, mut outcome)) => {
+            Some((index, mut outcome, _)) => {
                 ctx.emit(CompileEvent::BackendChosen {
                     name: self.backends[index].name().to_string(),
                     peak_bytes: outcome.schedule.peak_bytes,
@@ -520,10 +300,10 @@ impl PortfolioBackend {
                 outcome.stats = total_stats;
                 Ok(outcome)
             }
-            // Every member lost. When losses were to a caller-seeded
-            // incumbent, "the incumbent stands" (BoundBeaten) outranks the
-            // incidental member errors — consumers treat it as keep-the-
-            // original, never as a failure.
+            // Every member lost. When losses were to an incumbent ceiling,
+            // "the incumbent stands" (BoundBeaten) outranks the incidental
+            // member errors — consumers treat it as keep-the-original, never
+            // as a failure.
             None => Err(bound_beaten.or(first_error).expect("at least one member ran and failed")),
         }
     }
@@ -536,9 +316,7 @@ impl SchedulerBackend for PortfolioBackend {
 
     /// Members and their order are the whole configuration: the winner is
     /// min-peak with ties kept by the *earlier* member, so both membership
-    /// and sequence shape the result. `threads` is excluded — raced runs
-    /// are bit-identical to serial by construction, so thread counts share
-    /// cache entries (like the DP's worker count).
+    /// and sequence shape the result.
     fn config_fingerprint(&self) -> u64 {
         let parts: Vec<u64> = self.backends.iter().map(|b| b.config_fingerprint()).collect();
         crate::backend::config_fingerprint_of(self.name(), &parts)
@@ -646,8 +424,8 @@ mod tests {
         let graph = independent_branches(4, 8);
         let outcome = PortfolioBackend::standard().schedule(&graph, &ctx).unwrap();
         let events = seen.lock().unwrap();
-        // Adaptive (member 0) is exact and completes, so the race is cut
-        // off immediately: one member started, the other four skipped.
+        // Adaptive (member 0) is exact and completes, so the portfolio stops
+        // immediately: one member started, the other four skipped.
         let started =
             events.iter().filter(|e| matches!(e, CompileEvent::BackendStarted { .. })).count();
         let skipped =
@@ -660,7 +438,7 @@ mod tests {
             .any(|e| matches!(e, CompileEvent::BackendChosen { name, .. } if name == "adaptive")));
     }
 
-    /// A graph where order matters (the DP prunes against the bound) —
+    /// A graph where order matters (the DP prunes against the ceiling) —
     /// mirrors `dp::tests::branchy`.
     fn branchy() -> Graph {
         let mut g = Graph::new("branchy");
@@ -674,8 +452,8 @@ mod tests {
     }
 
     /// A portfolio whose exact member runs *last*, so every member
-    /// executes and the cheap ones sharpen the DP via the shared bound.
-    fn race_portfolio() -> PortfolioBackend {
+    /// executes and the cheap ones sharpen the DP via the incumbent.
+    fn exact_last_portfolio() -> PortfolioBackend {
         PortfolioBackend::new(vec![
             Arc::new(GreedyBackend),
             Arc::new(KahnBackend),
@@ -707,26 +485,10 @@ mod tests {
     }
 
     #[test]
-    fn raced_portfolio_is_bit_identical_to_serial() {
-        for graph in [branchy(), independent_branches(6, 24)] {
-            let (serial, serial_events) = run_collecting(&race_portfolio(), &graph);
-            for threads in [2, 8] {
-                let raced = race_portfolio().threads(threads);
-                let (outcome, events) = run_collecting(&raced, &graph);
-                assert_eq!(
-                    outcome.schedule, serial.schedule,
-                    "schedule diverged at {threads} threads"
-                );
-                assert_eq!(events, serial_events, "event stream diverged at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn serial_portfolio_prunes_the_dp_against_earlier_members() {
-        // Kahn runs first and publishes its (suboptimal, 120-byte) peak;
-        // the DP then prunes the losing branch against the incumbent and
-        // still finds the true 112-byte optimum.
+        // Kahn runs first with a (suboptimal, 120-byte) peak; the DP then
+        // prunes the losing branch against that incumbent and still finds
+        // the true 112-byte optimum.
         let portfolio =
             PortfolioBackend::new(vec![Arc::new(KahnBackend), Arc::new(DpBackend::default())]);
         let (outcome, _) = run_collecting(&portfolio, &branchy());
@@ -735,7 +497,7 @@ mod tests {
     }
 
     /// Delegates to an inner backend under a different name after a pause —
-    /// lets tests invert wall-clock completion order deterministically.
+    /// makes one member take far longer than another.
     struct SlowBackend {
         inner: Arc<dyn SchedulerBackend>,
         name: &'static str,
@@ -759,40 +521,35 @@ mod tests {
 
     #[test]
     fn ties_keep_the_earlier_member_even_when_it_finishes_last() {
-        // Member 0 delegates to Kahn but sleeps first; member 1 (dfs)
-        // finishes long before it in wall-clock. On a graph where every
-        // order has the same peak they tie — and the *earlier* member must
-        // still win, in both serial and raced mode.
+        // Member 0 delegates to Kahn but sleeps first, so it takes far
+        // longer than member 1 (dfs). On a graph where every order has the
+        // same peak they tie — and the *earlier* member must still win.
         let graph = independent_branches(5, 16);
-        for threads in [1, 2] {
-            let portfolio = PortfolioBackend::new(vec![
-                Arc::new(SlowBackend {
-                    inner: Arc::new(KahnBackend),
-                    name: "slow-kahn",
-                    pause: Duration::from_millis(30),
-                }),
-                Arc::new(DfsBackend),
-            ])
-            .threads(threads);
-            let (outcome, events) = run_collecting(&portfolio, &graph);
-            let chosen = events
-                .iter()
-                .find_map(|e| match e {
-                    CompileEvent::BackendChosen { name, .. } => Some(name.clone()),
-                    _ => None,
-                })
-                .unwrap();
-            assert_eq!(chosen, "slow-kahn", "tie lost at {threads} threads");
-            assert!(!outcome.schedule.order.is_empty());
-        }
+        let portfolio = PortfolioBackend::new(vec![
+            Arc::new(SlowBackend {
+                inner: Arc::new(KahnBackend),
+                name: "slow-kahn",
+                pause: Duration::from_millis(10),
+            }),
+            Arc::new(DfsBackend),
+        ]);
+        let (outcome, events) = run_collecting(&portfolio, &graph);
+        let chosen = events
+            .iter()
+            .find_map(|e| match e {
+                CompileEvent::BackendChosen { name, .. } => Some(name.clone()),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(chosen, "slow-kahn");
+        assert!(!outcome.schedule.order.is_empty());
     }
 
     #[test]
     fn bound_beaten_members_never_surface_when_anyone_completes() {
-        // Seed the shared bound at the optimum with the tie-winning
-        // priority: the DP cannot match it and exits BoundBeaten. Greedy
-        // ignores the bound and completes, so the portfolio still answers —
-        // the race loss shows up only in the stats.
+        // A tie-winning ceiling at the optimum: the DP cannot beat it and
+        // exits BoundBeaten. Greedy ignores the ceiling and completes, so
+        // the portfolio still answers — the loss shows up only in the stats.
         let graph = branchy();
         let optimal = DpBackend::default()
             .schedule(&graph, &CompileContext::unconstrained())
@@ -810,8 +567,9 @@ mod tests {
 
     #[test]
     fn seeded_portfolio_where_every_member_loses_reports_bound_beaten() {
-        // All members consult the bound and all lose: the incumbent stands,
-        // reported as BoundBeaten for the caller (the pipeline) to absorb.
+        // All members consult the ceiling and all lose: the incumbent
+        // stands, reported as BoundBeaten for the caller (the pipeline) to
+        // absorb.
         let graph = branchy();
         let optimal = DpBackend::default()
             .schedule(&graph, &CompileContext::unconstrained())
@@ -845,17 +603,17 @@ mod tests {
             events.iter().filter(|e| matches!(e, CompileEvent::BackendStarted { .. })).count();
         let skipped =
             events.iter().filter(|e| matches!(e, CompileEvent::BackendSkipped { .. })).count();
-        assert_eq!((started, skipped), (2, 0), "spilling exact member must not cut the race");
+        assert_eq!((started, skipped), (2, 0), "spilling exact member must not stop the rest");
 
         // At 112 the optimum fits (zero traffic): nothing can beat it, so
-        // the cutoff fires exactly as in the peak-only race.
+        // the cutoff fires exactly as without a capacity target.
         let fitting = CompileOptions::new().capacity_target(CapacityTarget::min_traffic(112));
         let (outcome, events) = run_collecting_with(&portfolio, &graph, fitting);
         let started =
             events.iter().filter(|e| matches!(e, CompileEvent::BackendStarted { .. })).count();
         let skipped =
             events.iter().filter(|e| matches!(e, CompileEvent::BackendSkipped { .. })).count();
-        assert_eq!((started, skipped), (1, 1), "fitting exact member must cut the race");
+        assert_eq!((started, skipped), (1, 1), "fitting exact member must stop the rest");
         assert_eq!(outcome.schedule.peak_bytes, 112);
     }
 
@@ -863,7 +621,7 @@ mod tests {
     fn capacity_winner_has_min_rank_across_members() {
         let graph = branchy();
         let target = CapacityTarget::min_traffic(BRANCHY_SPILL_CAPACITY);
-        let portfolio = race_portfolio();
+        let portfolio = exact_last_portfolio();
         let (outcome, _) =
             run_collecting_with(&portfolio, &graph, CompileOptions::new().capacity_target(target));
         let winner = crate::capacity::assess(&graph, &outcome.schedule.order, target)
@@ -880,24 +638,20 @@ mod tests {
     }
 
     #[test]
-    fn raced_capacity_portfolio_is_bit_identical_to_serial() {
+    fn capacity_members_tighten_the_ceiling_only_when_fitting() {
+        // Kahn (120 B) runs before the DP (optimum 112 B). Where Kahn's
+        // order spills, its peak must not prune the DP, which may still win
+        // on traffic; where it fits, any rival must fit and beat it on
+        // peak, so the DP runs under the 119-byte ceiling.
         let graph = branchy();
-        for capacity in [BRANCHY_SPILL_CAPACITY, 200] {
+        let portfolio =
+            PortfolioBackend::new(vec![Arc::new(KahnBackend), Arc::new(DpBackend::default())]);
+        for (capacity, prunes) in [(BRANCHY_SPILL_CAPACITY, false), (120, true)] {
             let options =
-                || CompileOptions::new().capacity_target(CapacityTarget::min_traffic(capacity));
-            let (serial, serial_events) = run_collecting_with(&race_portfolio(), &graph, options());
-            for threads in [2, 8] {
-                let raced = race_portfolio().threads(threads);
-                let (outcome, events) = run_collecting_with(&raced, &graph, options());
-                assert_eq!(
-                    outcome.schedule, serial.schedule,
-                    "schedule diverged at {threads} threads, capacity {capacity}"
-                );
-                assert_eq!(
-                    events, serial_events,
-                    "event stream diverged at {threads} threads, capacity {capacity}"
-                );
-            }
+                CompileOptions::new().capacity_target(CapacityTarget::min_traffic(capacity));
+            let (outcome, _) = run_collecting_with(&portfolio, &graph, options);
+            assert_eq!(outcome.stats.bound_pruned > 0, prunes, "capacity {capacity}");
+            assert_eq!(outcome.schedule.peak_bytes, 112, "capacity {capacity}");
         }
     }
 
@@ -907,7 +661,7 @@ mod tests {
         // must not reject members that fit comfortably in their share.
         let graph = independent_branches(5, 16);
         let ctx = CompileContext::new(CompileOptions::new().deadline(Duration::from_secs(30)));
-        let outcome = race_portfolio().schedule(&graph, &ctx).unwrap();
+        let outcome = exact_last_portfolio().schedule(&graph, &ctx).unwrap();
         assert_eq!(outcome.schedule.order.len(), graph.len());
     }
 }

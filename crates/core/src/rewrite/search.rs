@@ -824,7 +824,7 @@ impl RewriteSearch {
                     Some(Scored::Failed(ScheduleError::DeadlineExceeded { .. })) => {
                         break 'search RewriteStop::Deadline;
                     }
-                    // Cut off by the incumbent bound: the candidate provably
+                    // Cut off by the incumbent ceiling: the candidate provably
                     // scores worse than the current peak, which the search
                     // would have rejected anyway — a saved schedule, not a
                     // lost candidate.

@@ -90,13 +90,13 @@ pub struct ScheduleStats {
     ///
     /// [`CompileOptions::memory_budget`]: crate::backend::CompileOptions::memory_budget
     pub peak_memo_bytes: u64,
-    /// Transitions discarded because their running peak provably lost to a
-    /// shared [`IncumbentBound`](crate::backend::IncumbentBound) — the
-    /// branch-and-bound analogue of `pruned` (which counts soft-budget τ
-    /// prunes). Zero when no bound is installed.
+    /// Transitions discarded because their running peak provably lost to
+    /// the incumbent ceiling ([`BoundHandle`](crate::backend::BoundHandle))
+    /// — the branch-and-bound analogue of `pruned` (which counts soft-budget
+    /// τ prunes). Zero when no ceiling is installed.
     #[serde(default)]
     pub bound_pruned: u64,
-    /// Searches abandoned whole because the incumbent bound made a win
+    /// Searches abandoned whole because the incumbent ceiling made a win
     /// impossible ([`ScheduleError::BoundBeaten`](crate::ScheduleError)
     /// returns: emptied DP frontiers, beam whole-frontier cutoffs).
     #[serde(default)]

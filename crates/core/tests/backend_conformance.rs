@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use serenity_core::backend::{CancelToken, CompileContext, CompileOptions, SchedulerBackend};
 use serenity_core::capacity::CapacityTarget;
 use serenity_core::pipeline::Serenity;
-use serenity_core::registry::{BackendRegistry, PortfolioBackend};
+use serenity_core::registry::BackendRegistry;
 use serenity_core::ScheduleError;
 use serenity_ir::random_dag::{hourglass_stack, independent_branches, random_dag, RandomDagConfig};
 use serenity_ir::{mem, topo, Graph};
@@ -200,32 +200,6 @@ fn capacity_targets_preserve_validity_and_determinism() {
                     "{name} is nondeterministic under {target:?}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn raced_portfolio_matches_serial_under_min_traffic() {
-    // The acceptance criterion for capacity-aware racing: the raced
-    // portfolio must be bit-identical to the serial one even while the
-    // lexicographic (fits, traffic, peak) rank decides the winner.
-    for graph in conformance_graphs() {
-        let baseline =
-            mem::peak_bytes(&graph, &topo::kahn(&graph)).expect("conformance graphs profile");
-        let target = CapacityTarget::min_traffic(baseline * 3 / 4 + 1);
-        let ctx = CompileContext::new(CompileOptions::new().capacity_target(target));
-        let serial = PortfolioBackend::standard()
-            .schedule(&graph, &ctx)
-            .expect("serial portfolio schedules");
-        for threads in [2usize, 4] {
-            let raced = PortfolioBackend::standard()
-                .threads(threads)
-                .schedule(&graph, &ctx)
-                .expect("raced portfolio schedules");
-            assert_eq!(
-                serial.schedule, raced.schedule,
-                "raced portfolio ({threads} threads) diverged from serial on {graph}"
-            );
         }
     }
 }

@@ -226,21 +226,6 @@ impl RobustnessStats {
     }
 }
 
-/// Cumulative scheduler race counters over every *cold* compile (cache
-/// hits and coalesced waits never run a search, so they contribute
-/// nothing). Surfaced under `scheduler` on `GET /status`.
-#[derive(Debug, Default)]
-struct SchedulerCounters {
-    /// Cold compiles whose stats were folded in.
-    compiles: AtomicU64,
-    /// Search states discarded against the shared incumbent bound.
-    bound_pruned: AtomicU64,
-    /// Searches that exited early because the incumbent was unbeatable.
-    bound_beaten_exits: AtomicU64,
-    /// Portfolio members skipped after an exact member won the race.
-    race_cutoffs: AtomicU64,
-}
-
 /// A response ready to be written: status code and JSON body.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -359,7 +344,6 @@ pub struct CompileService {
     /// the directory existed.
     warm_start: Option<PersistReport>,
     robustness: RobustnessStats,
-    scheduler: SchedulerCounters,
 }
 
 impl CompileService {
@@ -405,7 +389,6 @@ impl CompileService {
             started: Instant::now(),
             warm_start,
             robustness: RobustnessStats::default(),
-            scheduler: SchedulerCounters::default(),
         }
     }
 
@@ -622,12 +605,6 @@ impl CompileService {
                                     }));
                                 }
                             };
-                        let s = &self.scheduler;
-                        s.compiles.fetch_add(1, Ordering::Relaxed);
-                        s.bound_pruned.fetch_add(compiled.stats.bound_pruned, Ordering::Relaxed);
-                        s.bound_beaten_exits
-                            .fetch_add(compiled.stats.bound_beaten_exits, Ordering::Relaxed);
-                        s.race_cutoffs.fetch_add(compiled.stats.race_cutoffs, Ordering::Relaxed);
                         let result_json = serde_json::to_string(&CompileResult::of(&compiled))
                             .expect("compile result serializes");
                         let degradation_json = degraded.then(|| {
@@ -799,13 +776,6 @@ impl CompileService {
             shards_quarantined: u64,
         }
         #[derive(Serialize)]
-        struct SchedulerSnapshot {
-            compiles: u64,
-            bound_pruned: u64,
-            bound_beaten_exits: u64,
-            race_cutoffs: u64,
-        }
-        #[derive(Serialize)]
         struct Status {
             uptime_secs: u64,
             requests: u64,
@@ -815,7 +785,6 @@ impl CompileService {
             compile_latency: LatencySummary,
             persist: PersistStatus,
             robustness: RobustnessSnapshot,
-            scheduler: SchedulerSnapshot,
         }
         let cache = self.cache.stats();
         let flights = self.flights.stats();
@@ -851,12 +820,6 @@ impl CompileService {
                 shards_quarantined: self
                     .warm_start
                     .map_or(0, |report| report.shards_quarantined as u64),
-            },
-            scheduler: SchedulerSnapshot {
-                compiles: self.scheduler.compiles.load(Ordering::Relaxed),
-                bound_pruned: self.scheduler.bound_pruned.load(Ordering::Relaxed),
-                bound_beaten_exits: self.scheduler.bound_beaten_exits.load(Ordering::Relaxed),
-                race_cutoffs: self.scheduler.race_cutoffs.load(Ordering::Relaxed),
             },
         })
         .expect("status serializes");
@@ -1088,12 +1051,6 @@ mod tests {
         assert!(parsed["cache"]["hits"].as_u64().unwrap() >= 1, "second compile hits the cache");
         assert_eq!(parsed["singleflight"]["leads"].as_u64(), Some(2));
         assert!(parsed["compile_latency"]["count"].as_u64().unwrap() >= 2);
-        // The scheduler race counters accumulate only over cold compiles
-        // (the second request replayed from the cache).
-        assert_eq!(parsed["scheduler"]["compiles"].as_u64(), Some(2));
-        assert!(parsed["scheduler"]["bound_pruned"].as_u64().is_some());
-        assert!(parsed["scheduler"]["bound_beaten_exits"].as_u64().is_some());
-        assert!(parsed["scheduler"]["race_cutoffs"].as_u64().is_some());
     }
 
     #[test]
