@@ -284,6 +284,12 @@ fn render_event(event: &CompileEvent) -> String {
             let which = if *rewritten { "rewritten" } else { "original" };
             format!("candidate: scheduling the {which} graph ({nodes} nodes)")
         }
+        CompileEvent::OriginalSkipped { lower_bound_bytes, rewritten_peak_bytes } => format!(
+            "candidate: skipped the original graph: every order of it peaks at >= {:.1} KiB, \
+             the rewritten graph at {:.1} KiB",
+            *lower_bound_bytes as f64 / 1024.0,
+            *rewritten_peak_bytes as f64 / 1024.0
+        ),
         CompileEvent::CandidateKept { rewritten, peak_bytes } => {
             let which = if *rewritten { "rewritten" } else { "original" };
             format!("candidate: kept the {which} graph at {:.1} KiB", *peak_bytes as f64 / 1024.0)

@@ -276,6 +276,10 @@ fn verbose_narrates_the_rewrite_search() {
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("search   :"), "search summary line missing:\n{stderr}");
+    // The rewritten cell peaks below the original's lower bound, so the
+    // original is never scheduled, and the narration says why.
+    assert!(stderr.contains("skipped the original graph"), "skip line missing:\n{stderr}");
+    assert!(!stderr.contains("scheduling the original graph"), "original scheduled:\n{stderr}");
 }
 
 #[test]

@@ -187,12 +187,27 @@ pub enum CompileEvent {
     ///
     /// Delimits the event stream: every `SegmentScheduled`/`BudgetProbe`
     /// that follows belongs to this candidate, until the next
-    /// `CandidateStarted` or the closing `CandidateKept`.
+    /// `CandidateStarted` or the closing `CandidateKept`. A compile without
+    /// a deadline runs the rewrite search first, so the original candidate
+    /// may follow the rewritten one, or be absent when
+    /// [`CompileEvent::OriginalSkipped`] says it could not win.
     CandidateStarted {
         /// Whether this candidate is the rewritten graph.
         rewritten: bool,
         /// Node count of the candidate graph.
         nodes: usize,
+    },
+    /// The pipeline kept the rewritten graph without scheduling the
+    /// original: the rewritten schedule peaks below the original graph's
+    /// peak lower bound ([`serenity_ir::mem::peak_lower_bound`]), which
+    /// every order of the original reaches, so no schedule of the original
+    /// could win (under a traffic-steering target, the rewritten schedule
+    /// also fits).
+    OriginalSkipped {
+        /// The original graph's peak lower bound, in bytes.
+        lower_bound_bytes: u64,
+        /// Peak footprint of the rewritten graph's schedule, in bytes.
+        rewritten_peak_bytes: u64,
     },
     /// The pipeline decided which candidate's schedule to keep.
     CandidateKept {

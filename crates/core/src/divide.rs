@@ -416,6 +416,25 @@ mod tests {
     }
 
     #[test]
+    fn a_bounded_portfolio_never_caches_what_its_ceiling_decided() {
+        // Under a tie-winning ceiling at the trap segment's optimum,
+        // `adaptive` and `beam` cannot beat it, and the baseline members'
+        // 92 B orders do not either: the run must report the loss rather than
+        // cache a 92 B order that an unbounded compile would then replay.
+        let g = chain_then_trap();
+        let divide = DivideAndConquer::new().backend(Arc::new(PortfolioBackend::standard()));
+        let cached =
+            CompileContext::new(CompileOptions::new().compile_cache(Arc::new(CompileCache::new())));
+        let bounded = cached.with_bound(Some(BoundHandle::seeded_incumbent(91)));
+        let err = divide.schedule_with_ctx(&g, &bounded).unwrap_err();
+        assert_eq!(err, ScheduleError::BoundBeaten { bound: 91 });
+        let cold = divide.schedule(&g).unwrap();
+        assert_eq!(cold.schedule.peak_bytes, 91);
+        let warm = divide.schedule_with_ctx(&g, &cached).unwrap();
+        assert_eq!(warm.schedule, cold.schedule);
+    }
+
+    #[test]
     fn segment_events_are_emitted() {
         use std::sync::Mutex;
         let mut rng = StdRng::seed_from_u64(28);

@@ -59,8 +59,10 @@
 //!   feedback loop rather than one pass: *(rewrite ⇄ schedule)* until a
 //!   fixed point, then partition → full-backend scheduling of the winner →
 //!   memory allocation, governed by
-//!   [`CompileOptions`]. The original graph is
-//!   always scheduled too, so compilation never regresses below rewrite-off.
+//!   [`CompileOptions`]. The original graph is scheduled too unless the
+//!   winner's schedule peaks below the original's peak lower bound, which
+//!   every order of the original reaches, so compilation never regresses
+//!   below rewrite-off.
 //!
 //! # Example
 //!

@@ -8,6 +8,17 @@
 //! multi-backend portfolio). The run is governed by [`CompileOptions`]:
 //! wall-clock deadline, shared cancellation token, and a structured
 //! [`CompileEvent`] sink.
+//!
+//! Equation (2) keeps the better of the original and the rewritten graph.
+//! A compile without a deadline runs the rewrite search first. When the
+//! rewritten graph's schedule peaks below
+//! [`peak_lower_bound`](serenity_ir::mem::peak_lower_bound) of the original
+//! (and, under a `MinTraffic` target, fits), no order of the original can
+//! win, so the original is never scheduled
+//! ([`CompileEvent::OriginalSkipped`]). Otherwise, and always under a
+//! deadline, both graphs are scheduled and the better one is kept; a
+//! deadline compile schedules the original first, so that a search stopped
+//! by the deadline still has its schedule to return.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -40,7 +51,9 @@ const MIN_RUNG_BUDGET: Duration = Duration::from_millis(5);
 /// [`RewriteSearch`](crate::rewrite::RewriteSearch): candidates are scored by
 /// scheduling (see [`SerenityBuilder::rewrite_score_backend`]) and kept only
 /// on strict peak reduction; the winner is then re-scheduled by the full
-/// backend and still has to beat the original graph.
+/// backend and still has to beat the original graph — by peaking below the
+/// original's lower bound, which spares scheduling the original at all, or
+/// by beating the original's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RewriteMode {
     /// Never rewrite (the paper's "Dynamic Programming + Memory Allocator"
@@ -153,7 +166,11 @@ impl SerenityBuilder {
     /// bounded-width beam search). The final winner is always re-scheduled
     /// by the full [`SerenityBuilder::backend`], so an approximate scorer
     /// can mis-rank candidates but never push the compiled result above
-    /// the rewrite-off peak.
+    /// the rewrite-off peak. The scored peak also decides the stage order:
+    /// only a winner scored below the original's peak lower bound is
+    /// re-scheduled before the original, and only its full-backend
+    /// schedule's peak can spare the original's. A scorer that
+    /// over-estimates costs that saving, never the result.
     pub fn rewrite_score_backend(mut self, backend: Arc<dyn SchedulerBackend>) -> Self {
         self.rewrite_scorer = Some(backend);
         self
@@ -407,27 +424,24 @@ impl Serenity {
         }
         let baseline_peak_bytes = crate::baseline::kahn(graph)?.peak_bytes;
 
-        // Candidate boundaries delimit the event stream: segment/probe
-        // events between two `CandidateStarted`s (or up to `CandidateKept`)
-        // belong to that candidate's scheduling pass.
-        ctx.emit(CompileEvent::CandidateStarted { rewritten: false, nodes: graph.len() });
-        let (original_schedule, original_partition, original_stats) =
-            self.schedule_one(graph, &ctx)?;
-
-        let mut chosen_graph = graph.clone();
-        let mut chosen = original_schedule;
-        let mut chosen_partition = original_partition;
-        let mut stats = original_stats;
-        let mut rewrites = Vec::new();
-        let mut rewrite_search = None;
-
-        // Capacity mode: every kept schedule carries its assessment, and a
+        // Capacity mode: every candidate carries its assessment, and a
         // traffic-steering target replaces the peak-only comparisons below
         // with the lexicographic `(fits, traffic, peak)` rank.
-        let capacity_target = self.config.options.capacity;
-        let steers = capacity_target.is_some_and(|t| t.steers_search());
-        let mut chosen_report = self.assess_capacity(&chosen_graph, &chosen)?;
+        let steers = self.config.options.capacity.is_some_and(|t| t.steers_search());
+        let mut stats = ScheduleStats::default();
 
+        // Candidate boundaries delimit the event stream: segment/probe
+        // events between two `CandidateStarted`s (or up to `CandidateKept`)
+        // belong to that candidate's scheduling pass. Under a deadline the
+        // original graph goes first: the rewrite search stops at the
+        // deadline with its best graph so far, and the original's schedule
+        // is then the answer in hand.
+        let mut original = match self.config.options.deadline {
+            Some(_) => Some(self.schedule_candidate(graph, false, &ctx, &mut stats)?),
+            None => None,
+        };
+
+        let mut rewrite_search = None;
         let rewritten = match self.config.rewrite {
             RewriteMode::Off => None,
             RewriteMode::IfBeneficial => {
@@ -448,77 +462,104 @@ impl Serenity {
             }
         };
 
-        if let Some((rw_graph, rw_applied)) = rewritten {
-            ctx.emit(CompileEvent::CandidateStarted { rewritten: true, nodes: rw_graph.len() });
+        // Equation (2) keeps the better of the two graphs. Every order of
+        // the original peaks at or above its lower bound, so a rewritten
+        // schedule below it wins outright (and, under a steering target,
+        // ranks `(fits, 0, peak)` ahead of any original order once it fits):
+        // then the original is never scheduled. The rewritten graph goes
+        // first only when its scored peak is already below the bound.
+        let mut rewritten_candidate = None;
+        let mut original_skipped = false;
+        if let (None, Some((rw_graph, _)), Some(summary)) = (&original, &rewritten, &rewrite_search)
+        {
+            let lower_bound_bytes = serenity_ir::mem::peak_lower_bound(graph);
+            let beats_every_original_order = |peak: u64| peak < lower_bound_bytes;
+            if beats_every_original_order(summary.final_peak_bytes) {
+                let rw = self.schedule_candidate(rw_graph, true, &ctx, &mut stats)?;
+                let fits = !steers || rw.report.is_some_and(|r| r.fits);
+                if beats_every_original_order(rw.schedule.peak_bytes) && fits {
+                    ctx.emit(CompileEvent::OriginalSkipped {
+                        lower_bound_bytes,
+                        rewritten_peak_bytes: rw.schedule.peak_bytes,
+                    });
+                    original_skipped = true;
+                }
+                rewritten_candidate = Some(rw);
+            }
+        }
+        if !original_skipped && original.is_none() {
+            original = Some(self.schedule_candidate(graph, false, &ctx, &mut stats)?);
+        }
+
+        if let (Some(original), Some((rw_graph, _)), None) =
+            (&original, &rewritten, &rewritten_candidate)
+        {
             // The rewritten candidate only wins by beating the original's
             // peak *strictly*, so seed the branch-and-bound engines with the
             // original as a tie-winning incumbent: the re-schedule prunes
             // everything that cannot beat it and exits early
             // (`BoundBeaten`) when nothing can — a cheap "keep the
-            // original", not a failure.
+            // original", not a failure. A run under a ceiling returns its
+            // unbounded schedule or `BoundBeaten`, so this decides exactly
+            // as an unseeded re-schedule would.
             // Under a traffic-steering target with a *spilling* incumbent
             // the peak seed would be unsound — a higher-peak order can
             // still win on traffic — so the re-schedule runs unseeded.
             // A fitting incumbent keeps the classic seed: any rival must
             // itself fit, i.e. strictly beat it on peak.
-            let spilling_incumbent = steers && chosen_report.as_ref().is_some_and(|r| !r.fits);
+            let spilling_incumbent = steers && original.report.is_some_and(|r| !r.fits);
             let rw_ctx = if spilling_incumbent {
                 ctx.clone()
             } else {
-                ctx.with_bound(Some(BoundHandle::seeded_incumbent(chosen.peak_bytes)))
+                ctx.with_bound(Some(BoundHandle::seeded_incumbent(original.schedule.peak_bytes)))
             };
-            match self.schedule_one(&rw_graph, &rw_ctx) {
-                Ok((rw_schedule, rw_partition, rw_stats)) => {
-                    let rw_report = self.assess_capacity(&rw_graph, &rw_schedule)?;
-                    // The search already confirmed improvement under the
-                    // scoring backend; this final comparison under the
-                    // *full* backend is what guarantees compilation never
-                    // regresses below rewrite-off, even with an approximate
-                    // scorer.
-                    let take_rewrite = if steers {
-                        rank_cmp(&rw_schedule, &rw_report, &chosen, &chosen_report)
-                            == std::cmp::Ordering::Less
-                    } else {
-                        rw_schedule.peak_bytes < chosen.peak_bytes
-                    };
-                    stats.absorb(&rw_stats);
-                    // Keep the summary self-consistent with the compiled
-                    // artifact: a winner rejected here was searched but not
-                    // adopted.
-                    if let Some(summary) = rewrite_search.as_mut() {
-                        summary.kept = take_rewrite;
-                    }
-                    if take_rewrite {
-                        // Narrate only the rewrites that actually end up in
-                        // the compiled graph; candidates losing the peak
-                        // comparison are not "applied" from the caller's
-                        // point of view.
-                        for applied in &rw_applied {
-                            ctx.emit(CompileEvent::RewriteApplied {
-                                rule: applied.rule,
-                                concat: applied.concat.clone(),
-                                consumer: applied.consumer.clone(),
-                                branches: applied.branches,
-                            });
-                        }
-                        chosen_graph = rw_graph;
-                        chosen = rw_schedule;
-                        chosen_partition = rw_partition;
-                        chosen_report = rw_report;
-                        rewrites = rw_applied;
-                    }
-                }
-                Err(ScheduleError::BoundBeaten { .. }) => {
-                    // The rewritten graph provably cannot beat the original
-                    // schedule: keep the original and record the loss.
-                    stats.bound_beaten_exits += 1;
-                    if let Some(summary) = rewrite_search.as_mut() {
-                        summary.kept = false;
-                    }
-                }
+            match self.schedule_candidate(rw_graph, true, &rw_ctx, &mut stats) {
+                Ok(rw) => rewritten_candidate = Some(rw),
+                // The rewritten graph provably cannot beat the original
+                // schedule: keep the original and record the loss.
+                Err(ScheduleError::BoundBeaten { .. }) => stats.bound_beaten_exits += 1,
                 Err(other) => return Err(other),
             }
         }
+
+        // The search already confirmed improvement under the scoring
+        // backend; this final comparison under the *full* backend is what
+        // guarantees compilation never regresses below rewrite-off, even
+        // with an approximate scorer.
+        let take_rewrite = match (&rewritten_candidate, &original) {
+            // The original was skipped: it could not win.
+            (Some(_), None) => true,
+            (Some(rw), Some(original)) if steers => {
+                rank_cmp(&rw.schedule, &rw.report, &original.schedule, &original.report)
+                    == std::cmp::Ordering::Less
+            }
+            (Some(rw), Some(original)) => rw.schedule.peak_bytes < original.schedule.peak_bytes,
+            (None, _) => false,
+        };
+        // Keep the summary self-consistent with the compiled artifact: a
+        // winner rejected here was searched but not adopted.
+        if let (Some(summary), Some(_)) = (rewrite_search.as_mut(), &rewritten) {
+            summary.kept = take_rewrite;
+        }
+        let (chosen_graph, kept, rewrites) = match (rewritten, rewritten_candidate) {
+            (Some((rw_graph, rw_applied)), Some(rw)) if take_rewrite => {
+                // Narrate only the rewrites that actually end up in the
+                // compiled graph; candidates losing the peak comparison are
+                // not "applied" from the caller's point of view.
+                for applied in &rw_applied {
+                    ctx.emit(CompileEvent::RewriteApplied {
+                        rule: applied.rule,
+                        concat: applied.concat.clone(),
+                        consumer: applied.consumer.clone(),
+                        branches: applied.branches,
+                    });
+                }
+                (rw_graph, rw, rw_applied)
+            }
+            _ => (graph.clone(), original.expect("scheduled unless skipped"), Vec::new()),
+        };
+        let (mut chosen, chosen_partition, mut chosen_report) =
+            (kept.schedule, kept.partition, kept.report);
         // Among the schedules attaining the optimal peak, a run-to-completion
         // order (`canon::stackify`) often allocates more tightly — but not
         // always, so when an allocator is configured both candidates are
@@ -727,16 +768,32 @@ impl Serenity {
         crate::capacity::assess_for_driver(graph, &schedule.order, target).map(Some)
     }
 
-    fn schedule_one(
+    /// Schedules one candidate graph (the original, or the rewritten one)
+    /// through divide-and-conquer and assesses it, announcing it with
+    /// [`CompileEvent::CandidateStarted`] and adding its search effort to
+    /// `stats`.
+    fn schedule_candidate(
         &self,
         graph: &Graph,
+        rewritten: bool,
         ctx: &CompileContext,
-    ) -> Result<(Schedule, PartitionSummary, ScheduleStats), ScheduleError> {
+        stats: &mut ScheduleStats,
+    ) -> Result<Candidate, ScheduleError> {
+        ctx.emit(CompileEvent::CandidateStarted { rewritten, nodes: graph.len() });
         let outcome = DivideAndConquer::new()
             .backend(Arc::clone(&self.config.backend))
             .schedule_with_ctx(graph, ctx)?;
-        Ok((outcome.schedule, outcome.partition, outcome.total_stats))
+        stats.absorb(&outcome.total_stats);
+        let report = self.assess_capacity(graph, &outcome.schedule)?;
+        Ok(Candidate { schedule: outcome.schedule, partition: outcome.partition, report })
     }
+}
+
+/// One candidate graph's schedule, as the keep-the-better comparison sees it.
+struct Candidate {
+    schedule: Schedule,
+    partition: PartitionSummary,
+    report: Option<CapacityReport>,
 }
 
 /// Orders `candidate` against `chosen` by their capacity rank
@@ -759,6 +816,7 @@ fn rank_cmp(
 mod tests {
     use super::*;
     use crate::registry::BackendRegistry;
+    use crate::CapacityTarget;
     use serenity_ir::{DType, GraphBuilder, Padding};
 
     fn concat_cell() -> Graph {
@@ -848,18 +906,69 @@ mod tests {
         assert!(matches!(err, ScheduleError::DeadlineExceeded { .. }));
     }
 
-    #[test]
-    fn events_narrate_the_compile() {
+    /// Compiles `g` with `builder`, collecting every event.
+    fn compile_collecting(
+        builder: SerenityBuilder,
+        g: &Graph,
+    ) -> (Result<CompiledSchedule, ScheduleError>, Vec<CompileEvent>) {
         use std::sync::Mutex;
-        let g = concat_cell();
         let seen: Arc<Mutex<Vec<CompileEvent>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        let compiled = Serenity::builder()
-            .on_event(move |e| sink.lock().unwrap().push(e.clone()))
-            .build()
-            .compile(&g)
-            .unwrap();
-        let events = seen.lock().unwrap();
+        let compiled =
+            builder.on_event(move |e| sink.lock().unwrap().push(e.clone())).build().compile(g);
+        let events = seen.lock().unwrap().clone();
+        (compiled, events)
+    }
+
+    /// The `rewritten` flags of the candidates in `events`, in order.
+    fn candidates(events: &[CompileEvent]) -> Vec<bool> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                CompileEvent::CandidateStarted { rewritten, .. } => Some(*rewritten),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The `OriginalSkipped` event's `(lower bound, rewritten peak)`, if any.
+    fn original_skipped(events: &[CompileEvent]) -> Option<(u64, u64)> {
+        events.iter().find_map(|e| match e {
+            CompileEvent::OriginalSkipped { lower_bound_bytes, rewritten_peak_bytes } => {
+                Some((*lower_bound_bytes, *rewritten_peak_bytes))
+            }
+            _ => None,
+        })
+    }
+
+    /// `adaptive` with a step timeout long enough never to fire, so its
+    /// search effort does not depend on machine speed.
+    fn steady_adaptive() -> Arc<dyn SchedulerBackend> {
+        let config = crate::budget::BudgetConfig {
+            step_timeout: Duration::from_secs(3600),
+            ..Default::default()
+        };
+        Arc::new(AdaptiveBackend::with_config(config))
+    }
+
+    /// An 8-node concat RandWire cell at 16×16×12 with the given wiring seed.
+    fn concat_n8(seed: u64) -> Graph {
+        use serenity_nets::randwire::{randwire_cell, Aggregation, RandWireConfig};
+        randwire_cell(&RandWireConfig {
+            nodes: 8,
+            seed,
+            hw: 16,
+            channels: 12,
+            aggregation: Aggregation::Concat,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn events_narrate_the_compile() {
+        let g = concat_cell();
+        let (compiled, events) = compile_collecting(Serenity::builder(), &g);
+        let compiled = compiled.unwrap();
         let applied =
             events.iter().filter(|e| matches!(e, CompileEvent::RewriteApplied { .. })).count();
         assert_eq!(
@@ -876,15 +985,21 @@ mod tests {
             events.iter().any(|e| matches!(e, CompileEvent::BudgetProbe { .. })),
             "budget probes should be narrated"
         );
-        // Candidate boundaries attribute segment/probe events to a pass,
-        // and the closing event reports the kept schedule.
-        assert!(matches!(
-            events.first(),
-            Some(CompileEvent::CandidateStarted { rewritten: false, .. })
-        ));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, CompileEvent::CandidateStarted { rewritten: true, .. })));
+        // Without a deadline the rewrite search runs before any candidate
+        // is scheduled, and candidate boundaries then attribute segment and
+        // probe events to a pass. This cell's rewritten schedule peaks below
+        // the original's lower bound, so the skip is narrated inside the
+        // rewritten graph's pass, which is the only one.
+        let position = |event: fn(&CompileEvent) -> bool| {
+            events.iter().position(event).expect("the event is narrated")
+        };
+        let search_end = position(|e| matches!(e, CompileEvent::RewriteSearchFinished { .. }));
+        let rewritten_pass =
+            position(|e| matches!(e, CompileEvent::CandidateStarted { rewritten: true, .. }));
+        let skip = position(|e| matches!(e, CompileEvent::OriginalSkipped { .. }));
+        assert!(search_end < rewritten_pass && rewritten_pass < skip);
+        assert_eq!(candidates(&events), [true], "the original is never scheduled");
+        // The closing event reports the kept schedule.
         match events.last() {
             Some(CompileEvent::CandidateKept { rewritten, peak_bytes }) => {
                 assert_eq!(*rewritten, !compiled.rewrites.is_empty());
@@ -892,6 +1007,141 @@ mod tests {
             }
             other => panic!("stream must end with CandidateKept, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_original_is_not_scheduled_once_the_rewritten_peak_is_below_its_lower_bound() {
+        let g = serenity_nets::suite::by_id("swiftnet-c").unwrap().graph;
+        let (compiled, events) =
+            compile_collecting(Serenity::builder().backend(steady_adaptive()), &g);
+        let compiled = compiled.unwrap();
+        assert!(!compiled.rewrites.is_empty());
+        assert_eq!(candidates(&events), [true], "only the rewritten graph is scheduled");
+        let lower_bound = serenity_ir::mem::peak_lower_bound(&g);
+        assert_eq!(original_skipped(&events), Some((lower_bound, compiled.peak_bytes)));
+        assert!(compiled.peak_bytes < lower_bound);
+        // The compile's effort is the search's plus the rewritten graph's
+        // re-schedule, and nothing for the original.
+        let search = Rewriter::standard()
+            .cost_guided()
+            .config(RewriteSearchConfig::default())
+            .score_backend(Arc::new(BeamBackend::default()))
+            .run_unconstrained(&g)
+            .unwrap();
+        let reschedule =
+            DivideAndConquer::new().backend(steady_adaptive()).schedule(&search.graph).unwrap();
+        assert_eq!(
+            compiled.stats.transitions,
+            search.stats.transitions + reschedule.total_stats.transitions
+        );
+    }
+
+    #[test]
+    fn the_original_is_still_scheduled_when_the_rewritten_peak_only_equals_its_lower_bound() {
+        let g = concat_n8(12885793570690362751);
+        let lower_bound = serenity_ir::mem::peak_lower_bound(&g);
+        assert_eq!(lower_bound, 73_728);
+        let unrewritten =
+            Serenity::builder().rewrite(RewriteMode::Off).build().compile(&g).unwrap();
+        assert_eq!(unrewritten.peak_bytes, 122_880);
+        let (compiled, events) = compile_collecting(Serenity::builder(), &g);
+        let compiled = compiled.unwrap();
+        // The rewritten graph wins at exactly the bound, which an order of
+        // the original might still reach.
+        assert!(!compiled.rewrites.is_empty());
+        assert_eq!(compiled.peak_bytes, lower_bound);
+        assert_eq!(original_skipped(&events), None);
+        assert!(candidates(&events).contains(&false), "the original is scheduled");
+    }
+
+    #[test]
+    fn the_original_is_still_scheduled_when_the_rewritten_schedule_spills() {
+        let g = concat_n8(6250656045483285107);
+        let lower_bound = serenity_ir::mem::peak_lower_bound(&g);
+        assert_eq!(lower_bound, 122_880);
+        let target = CapacityTarget::min_traffic(54_067);
+        let (compiled, events) =
+            compile_collecting(Serenity::builder().capacity_target(target), &g);
+        let compiled = compiled.unwrap();
+        // The rewritten graph is kept, far below the bound, but it spills,
+        // so an order of the original could still rank ahead on traffic.
+        assert!(!compiled.rewrites.is_empty());
+        assert_eq!(compiled.peak_bytes, 61_440);
+        assert!(!compiled.capacity.expect("target set").fits);
+        assert_eq!(original_skipped(&events), None);
+        assert_eq!(candidates(&events), [true, false], "the original is scheduled second");
+    }
+
+    #[test]
+    fn a_deadline_compile_schedules_the_original_first() {
+        let g = serenity_nets::suite::by_id("swiftnet-c").unwrap().graph;
+        let builder = Serenity::builder().backend(steady_adaptive());
+        let (free, _) = compile_collecting(builder.clone(), &g);
+        let (bounded, events) = compile_collecting(builder.deadline(Duration::from_secs(3600)), &g);
+        let (free, bounded) = (free.unwrap(), bounded.unwrap());
+        assert_eq!(candidates(&events), [false, true]);
+        assert_eq!(original_skipped(&events), None);
+        assert_eq!(
+            (bounded.peak_bytes, bounded.arena_bytes(), bounded.schedule.order),
+            (free.peak_bytes, free.arena_bytes(), free.schedule.order)
+        );
+    }
+
+    /// Scores its first `free_calls` calls with the beam, then stalls every
+    /// later call until the compile's deadline has passed.
+    struct StallingScorer {
+        free_calls: usize,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl SchedulerBackend for StallingScorer {
+        fn name(&self) -> &str {
+            "stalling-scorer"
+        }
+
+        fn schedule(
+            &self,
+            graph: &Graph,
+            ctx: &CompileContext,
+        ) -> Result<crate::backend::BackendOutcome, ScheduleError> {
+            if self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= self.free_calls {
+                let deadline = ctx.options().deadline.expect("compiled under a deadline");
+                std::thread::sleep(
+                    deadline.saturating_sub(ctx.elapsed()) + Duration::from_millis(1),
+                );
+                ctx.check()?;
+            }
+            BeamBackend::default().schedule(graph, ctx)
+        }
+    }
+
+    #[test]
+    fn a_deadline_during_candidate_scoring_returns_the_original_schedule() {
+        // The scorer scores the input graph, one call per segment, then
+        // stalls on the first candidate. The search stops at the deadline
+        // with the input graph, and the original's schedule, already in
+        // hand, is the answer.
+        let g = concat_cell();
+        let scorer = StallingScorer {
+            free_calls: serenity_ir::cuts::partition(&g).segments.len(),
+            calls: Default::default(),
+        };
+        let (compiled, events) = compile_collecting(
+            Serenity::builder()
+                .rewrite_score_backend(Arc::new(scorer))
+                .deadline(Duration::from_millis(300)),
+            &g,
+        );
+        let compiled = compiled.expect("the original's schedule is returned");
+        let summary = compiled.rewrite_search.expect("the search ran");
+        assert_eq!(summary.stop, crate::rewrite::RewriteStop::Deadline);
+        assert!(compiled.rewrites.is_empty());
+        assert_eq!(candidates(&events), [false]);
+        let original = Serenity::builder().rewrite(RewriteMode::Off).build().compile(&g).unwrap();
+        assert_eq!(
+            (compiled.peak_bytes, compiled.schedule.order),
+            (original.peak_bytes, original.schedule.order)
+        );
     }
 
     #[test]
@@ -940,34 +1190,42 @@ mod tests {
 
     #[test]
     fn portfolio_compiles_match_adaptive_with_and_without_a_cache() {
-        // The rewritten graph's re-schedule runs every divide-and-conquer
+        // On the original-first path, which a deadline selects, the
+        // rewritten graph's re-schedule runs every divide-and-conquer
         // segment under one seeded ceiling. A portfolio that fed one
         // segment's peak into the next segment's ceiling returned 230,400 B
         // on SwiftNet-A cache-free, where `adaptive` (its first member)
-        // returns 184,320 B.
+        // returns 184,320 B. Without a deadline the rewritten graph is
+        // re-scheduled first, with no ceiling.
         let graphs = [
             serenity_nets::suite::by_id("swiftnet-a").unwrap().graph,
             serenity_nets::swiftnet::swiftnet(),
         ];
-        let compile = |backend: Arc<dyn SchedulerBackend>, cache: Option<Arc<CompileCache>>| {
-            let mut builder = Serenity::builder().backend(backend);
-            if let Some(cache) = cache {
-                builder = builder.compile_cache(cache);
+        for deadline in [None, Some(Duration::from_secs(3600))] {
+            let compile = |backend: Arc<dyn SchedulerBackend>, cache: Option<Arc<CompileCache>>| {
+                let mut builder = Serenity::builder().backend(backend);
+                if let Some(cache) = cache {
+                    builder = builder.compile_cache(cache);
+                }
+                if let Some(deadline) = deadline {
+                    builder = builder.deadline(deadline);
+                }
+                let serenity = builder.build();
+                move |g: &Graph| {
+                    let compiled = serenity.compile(g).unwrap();
+                    (compiled.peak_bytes, compiled.arena_bytes(), compiled.schedule.order)
+                }
+            };
+            let adaptive = compile(Arc::new(AdaptiveBackend::default()), None);
+            let portfolio = || Arc::new(crate::registry::PortfolioBackend::standard());
+            let cache_free = compile(portfolio(), None);
+            let cached = compile(portfolio(), Some(Arc::new(CompileCache::new())));
+            for g in &graphs {
+                let expected = adaptive(g);
+                let label = format!("{} under deadline {deadline:?}", g.name());
+                assert_eq!(cache_free(g), expected, "cache-free portfolio on {label}");
+                assert_eq!(cached(g), expected, "cached portfolio on {label}");
             }
-            let serenity = builder.build();
-            move |g: &Graph| {
-                let compiled = serenity.compile(g).unwrap();
-                (compiled.peak_bytes, compiled.arena_bytes(), compiled.schedule.order)
-            }
-        };
-        let adaptive = compile(Arc::new(AdaptiveBackend::default()), None);
-        let portfolio = || Arc::new(crate::registry::PortfolioBackend::standard());
-        let cache_free = compile(portfolio(), None);
-        let cached = compile(portfolio(), Some(Arc::new(CompileCache::new())));
-        for g in &graphs {
-            let expected = adaptive(g);
-            assert_eq!(cache_free(g), expected, "cache-free portfolio on {}", g.name());
-            assert_eq!(cached(g), expected, "cached portfolio on {}", g.name());
         }
     }
 

@@ -106,12 +106,19 @@ impl BackendRegistry {
 /// ([`BoundHandle::seeded_incumbent`]), so cheap members sharpen the
 /// expensive ones that follow. The branch-and-bound engines (`dp`,
 /// `adaptive`, `beam`) prune states that provably lose to it, exiting with
-/// [`ScheduleError::BoundBeaten`] — a loss, counted but never surfaced. The
-/// incumbent is local to one run: nothing is published back to the caller,
-/// so one divide-and-conquer segment never constrains another. Winner
-/// selection is min-peak with the earlier member keeping ties, and a member
-/// that completes under a ceiling returns its unbounded schedule, so the
-/// portfolio is never worse than any of its members. The remaining
+/// [`ScheduleError::BoundBeaten`] — a loss to an earlier member, counted but
+/// never surfaced. The incumbent is local to one run: nothing is published
+/// back to the caller, so one divide-and-conquer segment never constrains
+/// another. Winner selection is min-peak with the earlier member keeping
+/// ties, and a member that completes under a ceiling returns its unbounded
+/// schedule, so the portfolio is never worse than any of its members.
+///
+/// Under a caller's ceiling the portfolio keeps the engines' contract: it
+/// returns either its unbounded schedule or `BoundBeaten` with the caller's
+/// incumbent. The baselines (`greedy`, `kahn`, `dfs`) ignore ceilings and
+/// complete, so a winner above the caller's ceiling is reported as that
+/// loss, never returned — divide-and-conquer memoizes and caches whatever a
+/// run returns under the backend's unbounded key. The remaining
 /// deadline is split fairly across unstarted members (floor 5 ms) so one
 /// slow member cannot starve the rest, and every member after the first
 /// *exact* completer (`adaptive`/`dp`/`brute-force`) is skipped — no one
@@ -289,6 +296,15 @@ impl PortfolioBackend {
                 Err(other) => {
                     first_error.get_or_insert(other);
                 }
+            }
+        }
+        // The baselines ignore ceilings, so they complete where the engines
+        // exit: a winner above the caller's ceiling has lost to the caller's
+        // incumbent, and returning it would hand divide-and-conquer a
+        // ceiling-dependent answer to memoize under the unbounded key.
+        if let (Some((_, outcome, _)), Some(ceiling)) = (&best, ctx.bound()) {
+            if outcome.schedule.peak_bytes > ceiling.max_viable_peak() {
+                return Err(ScheduleError::BoundBeaten { bound: ceiling.beaten_by() });
             }
         }
         match best {
@@ -547,9 +563,30 @@ mod tests {
 
     #[test]
     fn bound_beaten_members_never_surface_when_anyone_completes() {
-        // A tie-winning ceiling at the optimum: the DP cannot beat it and
-        // exits BoundBeaten. Greedy ignores the ceiling and completes, so
-        // the portfolio still answers — the loss shows up only in the stats.
+        // Greedy runs first and already attains branchy's optimum, so the DP
+        // runs under that local incumbent, cannot beat it and exits
+        // BoundBeaten. The portfolio still answers with greedy's schedule:
+        // the loss shows up only in the stats.
+        let graph = branchy();
+        let optimal = DpBackend::default()
+            .schedule(&graph, &CompileContext::unconstrained())
+            .unwrap()
+            .schedule
+            .peak_bytes;
+        let portfolio =
+            PortfolioBackend::new(vec![Arc::new(GreedyBackend), Arc::new(DpBackend::default())]);
+        let outcome = portfolio.schedule(&graph, &CompileContext::unconstrained()).unwrap();
+        assert_eq!(outcome.stats.bound_beaten_exits, 1);
+        assert_eq!(outcome.schedule.peak_bytes, optimal);
+    }
+
+    #[test]
+    fn a_winner_above_the_callers_ceiling_reports_bound_beaten() {
+        // A tie-winning caller ceiling at the optimum: the DP cannot beat it
+        // and exits BoundBeaten, and greedy ignores the ceiling and
+        // completes. Its schedule does not beat the caller's incumbent
+        // either, so the portfolio reports the loss instead of returning an
+        // answer that depends on the ceiling.
         let graph = branchy();
         let optimal = DpBackend::default()
             .schedule(&graph, &CompileContext::unconstrained())
@@ -560,9 +597,14 @@ mod tests {
             PortfolioBackend::new(vec![Arc::new(DpBackend::default()), Arc::new(GreedyBackend)]);
         let ctx = CompileContext::unconstrained()
             .with_bound(Some(BoundHandle::seeded_incumbent(optimal)));
-        let outcome = portfolio.schedule(&graph, &ctx).unwrap();
-        assert_eq!(outcome.stats.bound_beaten_exits, 1);
-        assert!(outcome.schedule.peak_bytes >= optimal);
+        let err = portfolio.schedule(&graph, &ctx).unwrap_err();
+        assert_eq!(err, ScheduleError::BoundBeaten { bound: optimal });
+        // Under a ceiling it can beat, the same portfolio returns exactly its
+        // unbounded schedule.
+        let loose = CompileContext::unconstrained()
+            .with_bound(Some(BoundHandle::seeded_incumbent(optimal + 1)));
+        let unbounded = portfolio.schedule(&graph, &CompileContext::unconstrained()).unwrap();
+        assert_eq!(portfolio.schedule(&graph, &loose).unwrap().schedule, unbounded.schedule);
     }
 
     #[test]
