@@ -1,7 +1,7 @@
-//! Shared plumbing for the benchmark harness that regenerates every table
-//! and figure of the SERENITY paper (each bin under `src/bin/` names the
-//! table or figure it reproduces; README.md explains how to rerun the
-//! tracked `BENCH_sched.json` emitter).
+//! Shared plumbing for the binaries that regenerate the SERENITY paper's
+//! tables and figures (each bin under `src/bin/` names the table or figure
+//! it reproduces). Performance is measured by the seeded benchmark package
+//! in `src/bin/benchmark/`, which has a manifest of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -397,7 +397,10 @@ impl Serenity {
     ///
     /// Propagates scheduling failures ([`ScheduleError`], including
     /// [`ScheduleError::DeadlineExceeded`] and [`ScheduleError::Cancelled`])
-    /// and graph errors.
+    /// and graph errors. A deadline compile schedules the original graph
+    /// first; a deadline that passes after that while the rewrite search
+    /// scores candidates, or while the rewritten graph is re-scheduled, is
+    /// not an error: the original's schedule is returned, with no rewrites.
     pub fn compile(&self, graph: &Graph) -> Result<CompiledSchedule, ScheduleError> {
         let started = Instant::now();
         let ctx = CompileContext::new(self.config.options.clone());
@@ -518,6 +521,9 @@ impl Serenity {
                 // The rewritten graph provably cannot beat the original
                 // schedule: keep the original and record the loss.
                 Err(ScheduleError::BoundBeaten { .. }) => stats.bound_beaten_exits += 1,
+                // The deadline passed after the search kept a rewrite: the
+                // original's schedule is in hand, so it is the answer.
+                Err(ScheduleError::DeadlineExceeded { .. }) => {}
                 Err(other) => return Err(other),
             }
         }
@@ -1088,10 +1094,12 @@ mod tests {
     }
 
     /// Scores its first `free_calls` calls with the beam, then stalls every
-    /// later call until the compile's deadline has passed.
+    /// later call until the compile's deadline has passed. Raising `stall`
+    /// ends the free calls early.
     struct StallingScorer {
         free_calls: usize,
         calls: std::sync::atomic::AtomicUsize,
+        stall: Arc<std::sync::atomic::AtomicBool>,
     }
 
     impl SchedulerBackend for StallingScorer {
@@ -1104,7 +1112,8 @@ mod tests {
             graph: &Graph,
             ctx: &CompileContext,
         ) -> Result<crate::backend::BackendOutcome, ScheduleError> {
-            if self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) >= self.free_calls {
+            use std::sync::atomic::Ordering::Relaxed;
+            if self.calls.fetch_add(1, Relaxed) >= self.free_calls || self.stall.load(Relaxed) {
                 let deadline = ctx.options().deadline.expect("compiled under a deadline");
                 std::thread::sleep(
                     deadline.saturating_sub(ctx.elapsed()) + Duration::from_millis(1),
@@ -1125,6 +1134,7 @@ mod tests {
         let scorer = StallingScorer {
             free_calls: serenity_ir::cuts::partition(&g).segments.len(),
             calls: Default::default(),
+            stall: Default::default(),
         };
         let (compiled, events) = compile_collecting(
             Serenity::builder()
@@ -1138,6 +1148,54 @@ mod tests {
         assert!(compiled.rewrites.is_empty());
         assert_eq!(candidates(&events), [false]);
         let original = Serenity::builder().rewrite(RewriteMode::Off).build().compile(&g).unwrap();
+        assert_eq!(
+            (compiled.peak_bytes, compiled.schedule.order),
+            (original.peak_bytes, original.schedule.order)
+        );
+    }
+
+    #[test]
+    fn a_deadline_after_a_kept_rewrite_returns_the_original_schedule() {
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        use std::sync::Mutex;
+        // The scorer stalls once the search has kept a rewrite, so the
+        // search stops at the deadline with a rewritten graph whose
+        // re-schedule then fails on the deadline. The original's schedule,
+        // already in hand, is the answer.
+        let g = serenity_nets::suite::by_id("swiftnet-c").unwrap().graph;
+        let stall = Arc::new(AtomicBool::new(false));
+        let scorer = StallingScorer {
+            free_calls: usize::MAX,
+            calls: Default::default(),
+            stall: Arc::clone(&stall),
+        };
+        let seen: Arc<Mutex<Vec<CompileEvent>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let compiled = Serenity::builder()
+            .backend(steady_adaptive())
+            .rewrite_score_backend(Arc::new(scorer))
+            .deadline(Duration::from_secs(2))
+            .on_event(move |e| {
+                if matches!(e, CompileEvent::RewriteCandidateKept { .. }) {
+                    stall.store(true, Relaxed);
+                }
+                sink.lock().unwrap().push(e.clone());
+            })
+            .build()
+            .compile(&g)
+            .expect("the original's schedule is returned");
+        let summary = compiled.rewrite_search.expect("the search ran");
+        assert_eq!(summary.stop, crate::rewrite::RewriteStop::Deadline);
+        assert!(summary.applied > 0, "the search stops with a rewritten graph: {summary:?}");
+        assert!(!summary.kept);
+        assert!(compiled.rewrites.is_empty());
+        assert_eq!(candidates(&seen.lock().unwrap()), [false, true]);
+        let original = Serenity::builder()
+            .backend(steady_adaptive())
+            .rewrite(RewriteMode::Off)
+            .build()
+            .compile(&g)
+            .unwrap();
         assert_eq!(
             (compiled.peak_bytes, compiled.schedule.order),
             (original.peak_bytes, original.schedule.order)

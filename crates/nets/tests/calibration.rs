@@ -1,9 +1,7 @@
 //! Calibration of the synthesized benchmarks against the paper's Figure 15
 //! raw peak-footprint numbers, plus end-to-end feasibility of the full
-//! SERENITY pipeline on every cell.
-//!
-//! Run the (slow, printing) sweep explicitly with:
-//! `cargo test -p serenity-nets --test calibration -- --ignored --nocapture`
+//! SERENITY pipeline on every cell. The `fig10_peak_reduction` binary prints
+//! the calibrated footprints in KB (Figure 15) beside the paper's reductions.
 
 use std::time::{Duration, Instant};
 
@@ -78,35 +76,6 @@ fn rewriting_helps_exactly_the_families_the_paper_says() {
                 );
             }
         }
-    }
-}
-
-/// Prints the calibration table: our TFLite-style baseline, DP, and DP+GR
-/// peaks next to the paper's Figure 15 values. Used to tune channel widths;
-/// kept `#[ignore]`d because it exists for humans, not CI.
-#[test]
-#[ignore = "printing sweep for manual calibration"]
-fn print_calibration_table() {
-    println!(
-        "{:<26} {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9}",
-        "benchmark", "tfl(ours)", "tfl(ppr)", "dp(ours)", "dp(ppr)", "gr(ours)", "gr(ppr)"
-    );
-    for b in suite() {
-        let baseline = tflite_baseline_kb(&b.graph);
-        let plain = compiler(RewriteMode::Off).compile(&b.graph).expect(b.name);
-        let rewritten = compiler(RewriteMode::IfBeneficial).compile(&b.graph).expect(b.name);
-        let dp_kb = plain.arena.as_ref().unwrap().arena_bytes as f64 / 1024.0;
-        let gr_kb = rewritten.arena.as_ref().unwrap().arena_bytes as f64 / 1024.0;
-        println!(
-            "{:<26} {:>9.1} {:>9.1} | {:>9.1} {:>9.1} | {:>9.1} {:>9.1}",
-            b.name,
-            baseline,
-            b.paper.tflite_peak_kb,
-            dp_kb,
-            b.paper.dp_peak_kb,
-            gr_kb,
-            b.paper.dp_gr_peak_kb
-        );
     }
 }
 

@@ -14,8 +14,9 @@
 //!
 //! * `result` — a function of (backend configuration, graph structure,
 //!   graph name) only. Deterministic backends make it **bit-identical**
-//!   across cache hits, coalesced waits, and cold compiles; the benchmark
-//!   harness and the CI smoke test assert exactly that.
+//!   across cache hits, coalesced waits, cold compiles and restarts from a
+//!   persisted cache; the tests below and the benchmark's correctness gate
+//!   assert exactly that.
 //! * `meta` — per-request circumstance: whether this response was
 //!   coalesced off another request's compile, cache hit/miss counts, and
 //!   the observed compile time. Never part of the identity.
@@ -866,7 +867,7 @@ impl CompileService {
             );
         }
         // Best-effort final save so a clean shutdown never loses the warm
-        // cache (the benchmark's restart phase depends on it).
+        // cache: a service restarted on the same directory loads it.
         if let Some(dir) = self.config.persist_dir.as_deref() {
             let _ = self.cache.save_to_dir(dir);
         }
@@ -1051,6 +1052,55 @@ mod tests {
         assert!(parsed["cache"]["hits"].as_u64().unwrap() >= 1, "second compile hits the cache");
         assert_eq!(parsed["singleflight"]["leads"].as_u64(), Some(2));
         assert!(parsed["compile_latency"]["count"].as_u64().unwrap() >= 2);
+    }
+
+    #[test]
+    fn a_restarted_service_serves_persisted_compiles_warm() {
+        let dir =
+            std::env::temp_dir().join(format!("serenity_service_restart_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Each service gets a fresh cache: only the directory is shared.
+        let fresh_service = || {
+            CompileService::new(
+                Arc::new(AdaptiveBackend::default()),
+                Arc::new(CompileCache::new()),
+                ServiceConfig { persist_dir: Some(dir.clone()), ..ServiceConfig::default() },
+            )
+        };
+        let body = to_json(&demo_graph(4));
+        let compile = |svc: &CompileService| {
+            let response = svc.handle(&post_compile(&body, ""), &CancelToken::new()).unwrap();
+            assert_eq!(response.status, 200, "{}", response.body);
+            response.body
+        };
+        // The `result` text, which the service splices in pre-serialized.
+        let result_of = |body: &str| -> String {
+            let (result, _meta) = body
+                .strip_prefix("{\"result\":")
+                .and_then(|rest| rest.rsplit_once(",\"meta\":"))
+                .expect("a compile response");
+            result.to_string()
+        };
+
+        let first = fresh_service();
+        let cold = compile(&first);
+        let persist = Request { path: "/persist".to_string(), ..post_compile("", "") };
+        let saved = first.handle(&persist, &CancelToken::new()).unwrap();
+        assert_eq!(saved.status, 200, "{}", saved.body);
+        drop(first);
+
+        let restarted = fresh_service();
+        let status = restarted.handle(&get("/status"), &CancelToken::new()).unwrap();
+        let status: serde_json::Value = serde_json::from_str(&status.body).unwrap();
+        let entries_ok = status["persist"]["warm_start"]["entries_ok"].as_u64();
+        assert!(entries_ok > Some(0), "the restart warm-loads the snapshot: {status:?}");
+        let warm = compile(&restarted);
+        let parsed: serde_json::Value = serde_json::from_str(&warm).unwrap();
+        let hits = parsed["meta"]["cache_hits"].as_u64();
+        assert!(hits > Some(0), "the compile replays the snapshot: {warm}");
+        assert_eq!(result_of(&warm), result_of(&cold), "cold ≡ restarted, byte for byte");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
