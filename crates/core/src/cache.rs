@@ -23,6 +23,12 @@
 //!   the pinned boundary prefix a divide-and-conquer segment was scheduled
 //!   under.
 //!
+//! An entry holds the segment's [`Structure`] — the canonical byte encoding
+//! of what [`serenity_ir::fingerprint::structural_eq`] compares, a few bytes
+//! per node — with the prefix, the order and the peak; no graph clone. The
+//! byte budget charges what an entry actually holds: those three slices plus
+//! a fixed per-entry overhead ([`CompileCache::entry_bytes`]).
+//!
 //! [`DivideAndConquer`](crate::divide::DivideAndConquer) is the only code
 //! that forms that key and reads or writes the cache: per segment it looks
 //! up the request's memo first, then the cache, and backfills a cache hit
@@ -32,8 +38,8 @@
 //! candidates never write the shared cache.
 //!
 //! Hits are exact, not probabilistic: both hashes can collide, so every hit
-//! is confirmed with [`serenity_ir::fingerprint::structural_eq`] and an
-//! exact prefix compare before a stored schedule is replayed — a collision
+//! is confirmed by the backend key, the prefix and byte equality of the
+//! [`Structure`] before a stored schedule is replayed — a collision
 //! degrades to a miss, never to a wrong schedule. And because every backend
 //! is a deterministic function of the (structural) graph, a replayed
 //! schedule is bit-identical to what a fresh search would have produced:
@@ -98,7 +104,7 @@
 //! also recover from poisoning
 //! (a thread that panicked mid-operation leaves behind, at worst, a
 //! consistent-but-partial shard; every entry is still confirmed
-//! structurally on hit), so one panicking compile cannot take the cache
+//! by its structure on hit), so one panicking compile cannot take the cache
 //! down for the rest of the process.
 
 use std::hash::Hasher as _;
@@ -109,7 +115,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::{fs, io};
 
 use serde::{Deserialize, Serialize};
-use serenity_ir::fingerprint::{fingerprint, structural_eq};
+use serenity_ir::fingerprint::{fingerprint, Structure};
 use serenity_ir::fxhash::{FxHashMap, FxHasher};
 use serenity_ir::{Graph, NodeId};
 
@@ -141,8 +147,10 @@ pub enum AdmissionPolicy {
 /// Construction knobs of a [`CompileCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileCacheConfig {
-    /// Total byte budget across all shards (approximate retained size of
-    /// the cached graphs and schedules, see [`CompileCache::entry_bytes`]).
+    /// Total byte budget across all shards: the bytes resident entries
+    /// hold — each entry's structure encoding, prefix and order plus a
+    /// fixed overhead, counted exactly, not estimated (see
+    /// [`CompileCache::entry_bytes`]).
     /// Inserting past the budget evicts least-recently-used entries down to
     /// a low watermark (7/8 of the budget, so eviction scans amortize); an
     /// entry larger than its shard's slice of the budget is not admitted at
@@ -174,7 +182,7 @@ impl Default for CompileCacheConfig {
 /// construction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Lookups that replayed a stored schedule (confirmed structurally).
+    /// Lookups that replayed a stored schedule (confirmed by structure).
     pub hits: u64,
     /// Lookups that found nothing (including collision-confirm failures).
     pub misses: u64,
@@ -188,7 +196,8 @@ pub struct CacheStats {
     pub rejected_admissions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Approximate bytes currently retained by resident entries.
+    /// Bytes resident entries hold: each entry's structure encoding,
+    /// prefix and order plus a fixed overhead (the budget's measure).
     pub entry_bytes: u64,
     /// The configured byte budget.
     pub budget_bytes: u64,
@@ -209,23 +218,31 @@ impl CacheStats {
 
 /// One cached schedule: the full identity needed for an exact hit confirm,
 /// plus LRU bookkeeping.
+#[derive(Clone)]
 struct CacheEntry {
     /// Backend identity (`SchedulerBackend::config_fingerprint`) the
     /// schedule was produced by. Part of the key: schedules never cross
     /// backends or configurations.
     backend_key: u64,
-    /// The graph the schedule belongs to, kept for exact hit confirmation.
-    graph: Graph,
+    /// The structure of the graph the schedule belongs to, kept for exact
+    /// hit confirmation.
+    structure: Structure,
     /// The pinned prefix the schedule was produced under: a schedule
     /// computed unpinned need not lead with the boundary placeholder, so it
     /// must never replay into a pinned segment (or vice versa).
-    prefix: Vec<NodeId>,
-    order: Vec<NodeId>,
+    prefix: Box<[NodeId]>,
+    order: Box<[NodeId]>,
     peak_bytes: u64,
-    /// Approximate retained bytes, charged against the shard budget.
+    /// The bytes the entry holds, charged against the shard budget.
     charge: u64,
     /// Global LRU clock value at the last hit (or admission).
     last_used: u64,
+}
+
+impl CacheEntry {
+    fn matches(&self, backend_key: u64, structure: &Structure, prefix: &[NodeId]) -> bool {
+        self.backend_key == backend_key && *self.prefix == *prefix && self.structure == *structure
+    }
 }
 
 #[derive(Default)]
@@ -421,37 +438,33 @@ impl CompileCache {
     /// Locks the shard owning `key`, recovering from poisoning: a panic in
     /// another compile leaves the shard's entries intact (inserts are
     /// single `Vec::push`es of fully built entries), so continuing is safe
-    /// — and every hit is structurally confirmed regardless.
+    /// — and every hit is confirmed by its structure regardless.
     fn shard_for(&self, key: u64) -> MutexGuard<'_, Shard> {
         let index = (key as usize) % self.shards.len();
         self.shards[index].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Approximate retained bytes of one entry: the entry struct, the
-    /// graph's nodes and edges, and the stored orders. An estimate — the
-    /// budget bounds memory to the right order of magnitude, it is not an
-    /// allocator-accurate account.
-    fn charge_for(graph: &Graph, prefix: &[NodeId], order: &[NodeId]) -> u64 {
-        const ENTRY_OVERHEAD: u64 = 128;
-        const PER_NODE: u64 = 112; // Node struct, name string, shape
-        const PER_EDGE: u64 = 16; // pred + succ adjacency slots
-        ENTRY_OVERHEAD
-            + graph.len() as u64 * PER_NODE
-            + graph.edge_count() as u64 * PER_EDGE
-            + (prefix.len() + order.len()) as u64 * std::mem::size_of::<NodeId>() as u64
+    /// The bytes one entry holds: its structure encoding, prefix and order,
+    /// plus a fixed overhead for the entry itself and its bucket slot.
+    fn charge_for(structure: &Structure, prefix: &[NodeId], order: &[NodeId]) -> u64 {
+        use std::mem::size_of;
+        const ENTRY_OVERHEAD: usize = size_of::<CacheEntry>() + size_of::<(u64, Vec<CacheEntry>)>();
+        (ENTRY_OVERHEAD
+            + structure.as_bytes().len()
+            + (prefix.len() + order.len()) * size_of::<NodeId>()) as u64
     }
 
-    /// Returns the cached schedule of a graph structurally equal to `graph`
-    /// that was produced by the backend identified by `backend_key` under
-    /// the same pinned `prefix`. `graph_key` is the caller-computed
-    /// [`serenity_ir::fingerprint::fingerprint`] of `graph` (compute once,
+    /// Returns the cached schedule of a graph with this `structure` that
+    /// was produced by the backend identified by `backend_key` under the
+    /// same pinned `prefix`. `graph_key` is the caller-computed
+    /// [`serenity_ir::fingerprint::fingerprint`] of the graph (compute once,
     /// share with [`CompileCache::insert`]). Counts a hit or a miss and
     /// refreshes the entry's LRU position on hit.
     pub fn lookup(
         &self,
         backend_key: u64,
         graph_key: u64,
-        graph: &Graph,
+        structure: &Structure,
         prefix: &[NodeId],
     ) -> Option<Schedule> {
         let key = mixed_key(backend_key, graph_key);
@@ -459,17 +472,10 @@ impl CompileCache {
         let found = {
             let mut shard = self.shard_for(key);
             shard.buckets.get_mut(&key).and_then(|bucket| {
-                bucket
-                    .iter_mut()
-                    .find(|e| {
-                        e.backend_key == backend_key
-                            && e.prefix == prefix
-                            && structural_eq(&e.graph, graph)
-                    })
-                    .map(|e| {
-                        e.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-                        Schedule { order: e.order.clone(), peak_bytes: e.peak_bytes }
-                    })
+                bucket.iter_mut().find(|e| e.matches(backend_key, structure, prefix)).map(|e| {
+                    e.last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+                    Schedule { order: e.order.to_vec(), peak_bytes: e.peak_bytes }
+                })
             })
         };
         match found {
@@ -495,22 +501,23 @@ impl CompileCache {
     }
 
     /// Stores `schedule` (produced by backend `backend_key` under pinned
-    /// `prefix`) for `graph` under `graph_key`. First write wins — all
-    /// backends are deterministic, so a duplicate insert carries an
-    /// identical schedule anyway. Admission may evict least-recently-used
-    /// entries of the target shard to stay under the byte budget; an entry
-    /// larger than one shard's whole budget is not admitted. Under
+    /// `prefix`) for the graph with this `structure` under `graph_key`.
+    /// First write wins — all backends are deterministic, so a duplicate
+    /// insert carries an identical schedule anyway. Admission may evict
+    /// least-recently-used entries of the target shard to stay under the
+    /// byte budget; an entry larger than one shard's whole budget is not
+    /// admitted. Under
     /// [`AdmissionPolicy::TinyLfu`], the newcomer itself is dropped instead
     /// when an eviction victim is estimated at least as frequent.
     pub fn insert(
         &self,
         backend_key: u64,
         graph_key: u64,
-        graph: &Graph,
+        structure: Structure,
         prefix: &[NodeId],
         schedule: &Schedule,
     ) {
-        let charge = CompileCache::charge_for(graph, prefix, &schedule.order);
+        let charge = CompileCache::charge_for(&structure, prefix, &schedule.order);
         if charge > self.shard_budget {
             return;
         }
@@ -521,17 +528,15 @@ impl CompileCache {
         {
             let mut shard = self.shard_for(key);
             let bucket = shard.buckets.entry(key).or_default();
-            if bucket.iter().any(|e| {
-                e.backend_key == backend_key && e.prefix == prefix && structural_eq(&e.graph, graph)
-            }) {
+            if bucket.iter().any(|e| e.matches(backend_key, &structure, prefix)) {
                 return;
             }
             let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
             bucket.push(CacheEntry {
                 backend_key,
-                graph: graph.clone(),
-                prefix: prefix.to_vec(),
-                order: schedule.order.clone(),
+                structure,
+                prefix: prefix.into(),
+                order: schedule.order.as_slice().into(),
                 peak_bytes: schedule.peak_bytes,
                 charge,
                 last_used: stamp,
@@ -577,7 +582,9 @@ impl CompileCache {
         self.len() == 0
     }
 
-    /// Approximate bytes currently retained by resident entries.
+    /// Bytes resident entries hold: each entry's structure encoding, prefix
+    /// and order plus a fixed per-entry overhead. This is what the byte
+    /// budget ([`CompileCacheConfig::max_bytes`]) bounds.
     pub fn entry_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).bytes).sum()
     }
@@ -603,7 +610,9 @@ impl CompileCache {
     /// warm instead of recompiling its whole working set.
     ///
     /// Entries are written oldest-first, so a reload replays admissions in
-    /// recency order and restores the LRU horizon.
+    /// recency order and restores the LRU horizon. Each entry's graph is
+    /// rebuilt from its structure ([`Structure::to_graph`]), so node names
+    /// in the file are placeholders.
     ///
     /// The save is crash-safe in two phases: every shard is first written
     /// in full to a temporary name (and fsynced), and only then are the
@@ -615,9 +624,10 @@ impl CompileCache {
     /// carries a header line with the format version and an FxHash
     /// checksum of the payload, so bit-level corruption is caught on load
     /// even when the damaged bytes still parse as JSON. Snapshots are
-    /// taken per shard under its lock, but serialization and file IO
-    /// happen after the lock is released, so saving never blocks
-    /// concurrent compiles for longer than one entry clone.
+    /// taken per shard under its lock, but graph rebuilding, serialization
+    /// and file IO happen after the lock is released, so saving never
+    /// blocks concurrent compiles for longer than copying the shard's
+    /// entries.
     ///
     /// # Errors
     ///
@@ -634,28 +644,25 @@ impl CompileCache {
         let mut report = PersistReport::default();
         let mut staged: Vec<(PathBuf, PathBuf)> = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.iter().enumerate() {
-            let mut stamped: Vec<(u64, PersistedEntry)> = {
+            let mut stamped: Vec<CacheEntry> = {
                 let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-                shard
-                    .buckets
-                    .values()
-                    .flatten()
-                    .map(|e| {
-                        (
-                            e.last_used,
-                            PersistedEntry {
-                                backend_key: e.backend_key,
-                                graph: e.graph.clone(),
-                                prefix: e.prefix.clone(),
-                                order: e.order.clone(),
-                                peak_bytes: e.peak_bytes,
-                            },
-                        )
-                    })
-                    .collect()
+                shard.buckets.values().flatten().cloned().collect()
             };
-            stamped.sort_by_key(|&(stamp, _)| stamp);
-            let file = PersistedShard { entries: stamped.into_iter().map(|(_, e)| e).collect() };
+            stamped.sort_by_key(|e| e.last_used);
+            let entries = stamped
+                .into_iter()
+                .map(|e| {
+                    Ok(PersistedEntry {
+                        backend_key: e.backend_key,
+                        graph: e.structure.to_graph()?,
+                        prefix: e.prefix.into(),
+                        order: e.order.into(),
+                        peak_bytes: e.peak_bytes,
+                    })
+                })
+                .collect::<Result<Vec<_>, serenity_ir::GraphError>>()
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            let file = PersistedShard { entries };
             report.entries_ok += file.entries.len();
             let text = encode_shard(&file)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -699,7 +706,8 @@ impl CompileCache {
     /// Files are **not trusted**: every entry is re-validated — the graph
     /// structurally ([`Graph::validate`]), the order by recomputing its
     /// peak ([`Schedule::from_order`]) and confirming it matches the stored
-    /// value — and re-admitted through the normal [`insert`] path, so
+    /// value — re-encoded ([`Structure::of`]; node names in the file do
+    /// not matter) and re-admitted through the normal [`insert`] path, so
     /// budget accounting, shard routing, and admission policy apply exactly
     /// as they would to fresh compiles (a load can therefore also migrate
     /// between shard counts and byte budgets). A corrupt shard file —
@@ -746,7 +754,8 @@ impl CompileCache {
                     continue;
                 }
                 let schedule = Schedule { order: e.order, peak_bytes: e.peak_bytes };
-                self.insert(e.backend_key, fingerprint(&e.graph), &e.graph, &e.prefix, &schedule);
+                let structure = Structure::of(&e.graph);
+                self.insert(e.backend_key, fingerprint(&e.graph), structure, &e.prefix, &schedule);
                 report.entries_ok += 1;
             }
         }
@@ -992,7 +1001,7 @@ mod tests {
     fn small_cache_with(entries: u64, admission: AdmissionPolicy) -> CompileCache {
         let g = chain("sizer", 8);
         let s = schedule_of(&g);
-        let per_entry = CompileCache::charge_for(&g, &[], &s.order);
+        let per_entry = CompileCache::charge_for(&Structure::of(&g), &[], &s.order);
         CompileCache::with_config(CompileCacheConfig {
             max_bytes: per_entry * entries + per_entry / 2,
             shards: 1,
@@ -1019,10 +1028,11 @@ mod tests {
         let cache = CompileCache::new();
         let g = chain("g", 8);
         let s = schedule_of(&g);
-        cache.insert(1, fingerprint(&g), &g, &[], &s);
+        cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &s);
 
         let twin = chain("renamed", 8);
-        let replayed = cache.lookup(1, fingerprint(&twin), &twin, &[]).expect("twin hits");
+        let replayed =
+            cache.lookup(1, fingerprint(&twin), &Structure::of(&twin), &[]).expect("twin hits");
         assert_eq!(replayed, s);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 0, 1));
@@ -1036,11 +1046,14 @@ mod tests {
         let g = chain("g", 8);
         let key = fingerprint(&g);
         let s = schedule_of(&g);
-        cache.insert(0xD0, key, &g, &[], &s);
-        assert!(cache.lookup(0xBEA, key, &g, &[]).is_none(), "other backend must miss");
-        cache.insert(0xBEA, key, &g, &[], &s);
+        cache.insert(0xD0, key, Structure::of(&g), &[], &s);
+        assert!(
+            cache.lookup(0xBEA, key, &Structure::of(&g), &[]).is_none(),
+            "other backend must miss"
+        );
+        cache.insert(0xBEA, key, Structure::of(&g), &[], &s);
         assert_eq!(cache.len(), 2, "backends keep distinct entries");
-        assert!(cache.lookup(0xD0, key, &g, &[]).is_some());
+        assert!(cache.lookup(0xD0, key, &Structure::of(&g), &[]).is_some());
     }
 
     #[test]
@@ -1049,10 +1062,10 @@ mod tests {
         let g = chain("g", 8);
         let key = fingerprint(&g);
         let s = schedule_of(&g);
-        cache.insert(1, key, &g, &[], &s);
+        cache.insert(1, key, Structure::of(&g), &[], &s);
         let pin = [NodeId::from_index(0)];
-        assert!(cache.lookup(1, key, &g, &pin).is_none());
-        cache.insert(1, key, &g, &pin, &s);
+        assert!(cache.lookup(1, key, &Structure::of(&g), &pin).is_none());
+        cache.insert(1, key, Structure::of(&g), &pin, &s);
         assert_eq!(cache.len(), 2);
     }
 
@@ -1065,11 +1078,11 @@ mod tests {
         let h = chain("h", 64);
         let gs = schedule_of(&g);
         let hs = schedule_of(&h);
-        cache.insert(1, 42, &g, &[], &gs);
-        cache.insert(1, 42, &h, &[], &hs);
+        cache.insert(1, 42, Structure::of(&g), &[], &gs);
+        cache.insert(1, 42, Structure::of(&h), &[], &hs);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lookup(1, 42, &h, &[]).unwrap().peak_bytes, hs.peak_bytes);
-        assert_eq!(cache.lookup(1, 42, &g, &[]).unwrap().peak_bytes, gs.peak_bytes);
+        assert_eq!(cache.lookup(1, 42, &Structure::of(&h), &[]).unwrap().peak_bytes, hs.peak_bytes);
+        assert_eq!(cache.lookup(1, 42, &Structure::of(&g), &[]).unwrap().peak_bytes, gs.peak_bytes);
     }
 
     #[test]
@@ -1077,8 +1090,8 @@ mod tests {
         let cache = CompileCache::new();
         let g = chain("g", 8);
         let s = schedule_of(&g);
-        cache.insert(1, fingerprint(&g), &g, &[], &s);
-        cache.insert(1, fingerprint(&g), &chain("renamed", 8), &[], &s);
+        cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &s);
+        cache.insert(1, fingerprint(&g), Structure::of(&chain("renamed", 8)), &[], &s);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().insertions, 1);
     }
@@ -1090,18 +1103,27 @@ mod tests {
         let keys: Vec<u64> = graphs.iter().map(fingerprint).collect();
         let schedules: Vec<Schedule> = graphs.iter().map(schedule_of).collect();
 
-        cache.insert(1, keys[0], &graphs[0], &[], &schedules[0]);
-        cache.insert(1, keys[1], &graphs[1], &[], &schedules[1]);
+        cache.insert(1, keys[0], Structure::of(&graphs[0]), &[], &schedules[0]);
+        cache.insert(1, keys[1], Structure::of(&graphs[1]), &[], &schedules[1]);
         assert_eq!(cache.len(), 2, "two entries fit the budget");
 
         // Touch entry 0 so entry 1 is the LRU victim, then overflow.
-        assert!(cache.lookup(1, keys[0], &graphs[0], &[]).is_some());
-        cache.insert(1, keys[2], &graphs[2], &[], &schedules[2]);
+        assert!(cache.lookup(1, keys[0], &Structure::of(&graphs[0]), &[]).is_some());
+        cache.insert(1, keys[2], Structure::of(&graphs[2]), &[], &schedules[2]);
 
         assert_eq!(cache.len(), 2, "the third insert must evict");
-        assert!(cache.lookup(1, keys[0], &graphs[0], &[]).is_some(), "recently used survives");
-        assert!(cache.lookup(1, keys[1], &graphs[1], &[]).is_none(), "LRU entry was evicted");
-        assert!(cache.lookup(1, keys[2], &graphs[2], &[]).is_some(), "new entry resident");
+        assert!(
+            cache.lookup(1, keys[0], &Structure::of(&graphs[0]), &[]).is_some(),
+            "recently used survives"
+        );
+        assert!(
+            cache.lookup(1, keys[1], &Structure::of(&graphs[1]), &[]).is_none(),
+            "LRU entry was evicted"
+        );
+        assert!(
+            cache.lookup(1, keys[2], &Structure::of(&graphs[2]), &[]).is_some(),
+            "new entry resident"
+        );
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.entry_bytes <= stats.budget_bytes);
@@ -1117,7 +1139,7 @@ mod tests {
             ..Default::default()
         });
         let g = chain("g", 8);
-        cache.insert(1, fingerprint(&g), &g, &[], &schedule_of(&g));
+        cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         assert!(cache.is_empty());
         assert_eq!(cache.stats().evictions, 0);
     }
@@ -1139,8 +1161,8 @@ mod tests {
                         let g = chain(&format!("t{}_{}", t % 2, i % 4), 8 + (i % 4) as u64);
                         let key = fingerprint(&g);
                         let s = schedule_of(&g);
-                        cache.insert(t % 3, key, &g, &[], &s);
-                        assert_eq!(cache.lookup(t % 3, key, &g, &[]), Some(s));
+                        cache.insert(t % 3, key, Structure::of(&g), &[], &s);
+                        assert_eq!(cache.lookup(t % 3, key, &Structure::of(&g), &[]), Some(s));
                     }
                 });
             }
@@ -1162,7 +1184,7 @@ mod tests {
         let g = chain("g", 8);
         let key = fingerprint(&g);
         let s = schedule_of(&g);
-        cache.insert(1, key, &g, &[], &s);
+        cache.insert(1, key, Structure::of(&g), &[], &s);
 
         // Poison the only shard: a thread panics while holding its lock.
         let result = std::thread::scope(|scope| {
@@ -1177,9 +1199,9 @@ mod tests {
         assert!(cache.shards[0].is_poisoned());
 
         // Every operation still works: no deadlock, no panic, data intact.
-        assert_eq!(cache.lookup(1, key, &g, &[]), Some(s.clone()));
+        assert_eq!(cache.lookup(1, key, &Structure::of(&g), &[]), Some(s.clone()));
         let h = chain("h", 16);
-        cache.insert(1, fingerprint(&h), &h, &[], &schedule_of(&h));
+        cache.insert(1, fingerprint(&h), Structure::of(&h), &[], &schedule_of(&h));
         assert_eq!(cache.len(), 2);
         assert!(cache.stats().entry_bytes > 0);
     }
@@ -1191,10 +1213,10 @@ mod tests {
         let g = chain("g", 8);
         let key = fingerprint(&g);
         let s = schedule_of(&g);
-        assert!(cache.lookup(1, key, &g, &[]).is_none());
-        cache.insert(1, key, &g, &[], &s);
-        assert!(cache.lookup(1, key, &g, &[]).is_some());
-        assert!(cache.lookup(1, key, &g, &[]).is_some());
+        assert!(cache.lookup(1, key, &Structure::of(&g), &[]).is_none());
+        cache.insert(1, key, Structure::of(&g), &[], &s);
+        assert!(cache.lookup(1, key, &Structure::of(&g), &[]).is_some());
+        assert!(cache.lookup(1, key, &Structure::of(&g), &[]).is_some());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
@@ -1209,19 +1231,28 @@ mod tests {
         let hot: Vec<Graph> = (0..2).map(|i| chain(&format!("hot{i}"), 8 + i)).collect();
         let keys: Vec<u64> = hot.iter().map(fingerprint).collect();
         for (g, &key) in hot.iter().zip(&keys) {
-            cache.insert(1, key, g, &[], &schedule_of(g));
+            cache.insert(1, key, Structure::of(g), &[], &schedule_of(g));
         }
         for _ in 0..3 {
             for (g, &key) in hot.iter().zip(&keys) {
-                assert!(cache.lookup(1, key, g, &[]).is_some());
+                assert!(cache.lookup(1, key, &Structure::of(g), &[]).is_some());
             }
         }
         for i in 0..8 {
             let one_shot = chain(&format!("flood{i}"), 100 + i);
-            cache.insert(1, fingerprint(&one_shot), &one_shot, &[], &schedule_of(&one_shot));
+            cache.insert(
+                1,
+                fingerprint(&one_shot),
+                Structure::of(&one_shot),
+                &[],
+                &schedule_of(&one_shot),
+            );
         }
         for (g, &key) in hot.iter().zip(&keys) {
-            assert!(cache.lookup(1, key, g, &[]).is_some(), "hot entry must survive the flood");
+            assert!(
+                cache.lookup(1, key, &Structure::of(g), &[]).is_some(),
+                "hot entry must survive the flood"
+            );
         }
         let stats = cache.stats();
         assert_eq!(stats.rejected_admissions, 8, "every one-shot insert is rejected");
@@ -1236,15 +1267,18 @@ mod tests {
         let cache = small_cache_with(2, AdmissionPolicy::TinyLfu);
         let cold: Vec<Graph> = (0..2).map(|i| chain(&format!("cold{i}"), 8 + i)).collect();
         for g in &cold {
-            cache.insert(1, fingerprint(g), g, &[], &schedule_of(g));
+            cache.insert(1, fingerprint(g), Structure::of(g), &[], &schedule_of(g));
         }
         let wanted = chain("wanted", 64);
         let wkey = fingerprint(&wanted);
         for _ in 0..4 {
-            assert!(cache.lookup(1, wkey, &wanted, &[]).is_none(), "still a miss");
+            assert!(cache.lookup(1, wkey, &Structure::of(&wanted), &[]).is_none(), "still a miss");
         }
-        cache.insert(1, wkey, &wanted, &[], &schedule_of(&wanted));
-        assert!(cache.lookup(1, wkey, &wanted, &[]).is_some(), "frequent newcomer admitted");
+        cache.insert(1, wkey, Structure::of(&wanted), &[], &schedule_of(&wanted));
+        assert!(
+            cache.lookup(1, wkey, &Structure::of(&wanted), &[]).is_some(),
+            "frequent newcomer admitted"
+        );
         let stats = cache.stats();
         assert_eq!(stats.rejected_admissions, 0);
         assert!(stats.evictions > 0, "a resident was displaced");
@@ -1255,7 +1289,7 @@ mod tests {
         let cache = small_cache(2);
         for i in 0..6 {
             let g = chain(&format!("g{i}"), 8 + i);
-            cache.insert(1, fingerprint(&g), &g, &[], &schedule_of(&g));
+            cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         }
         let stats = cache.stats();
         assert_eq!(stats.rejected_admissions, 0);
@@ -1295,11 +1329,11 @@ mod tests {
         let keys: Vec<u64> = graphs.iter().map(fingerprint).collect();
         let schedules: Vec<Schedule> = graphs.iter().map(schedule_of).collect();
         for i in 0..6 {
-            cache.insert(7, keys[i], &graphs[i], &[], &schedules[i]);
+            cache.insert(7, keys[i], Structure::of(&graphs[i]), &[], &schedules[i]);
         }
         // One entry with a pinned prefix, as divide-and-conquer stores them.
         let pin = [NodeId::from_index(0)];
-        cache.insert(7, keys[0], &graphs[0], &pin, &schedules[0]);
+        cache.insert(7, keys[0], Structure::of(&graphs[0]), &pin, &schedules[0]);
 
         let saved = cache.save_to_dir(&dir).unwrap();
         assert_eq!(saved.shards_ok, 4);
@@ -1320,12 +1354,59 @@ mod tests {
         assert_eq!(restored.entry_bytes(), cache.entry_bytes(), "budget accounting matches");
         for i in 0..6 {
             assert_eq!(
-                restored.lookup(7, keys[i], &graphs[i], &[]),
+                restored.lookup(7, keys[i], &Structure::of(&graphs[i]), &[]),
                 Some(schedules[i].clone()),
                 "entry {i} replays bit-identically after restart"
             );
         }
-        assert_eq!(restored.lookup(7, keys[0], &graphs[0], &pin), Some(schedules[0].clone()));
+        assert_eq!(
+            restored.lookup(7, keys[0], &Structure::of(&graphs[0]), &pin),
+            Some(schedules[0].clone())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_snapshot_of_named_graphs_loads_warm() {
+        // Entries persist as graphs; a snapshot written when entries held
+        // whole graphs carries their real node names. It loads, counts and
+        // hits like one written from structures.
+        let dir = scratch_dir("named");
+        std::fs::create_dir_all(&dir).unwrap();
+        let graphs: Vec<Graph> = (0..3).map(|i| chain(&format!("named{i}"), 8 + i)).collect();
+        let pin = [NodeId::from_index(0)];
+        let entries = graphs
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                let s = schedule_of(g);
+                let prefix = if i == 0 { pin.to_vec() } else { Vec::new() };
+                PersistedEntry {
+                    backend_key: 5,
+                    graph: g.clone(),
+                    prefix,
+                    order: s.order,
+                    peak_bytes: s.peak_bytes,
+                }
+            })
+            .collect();
+        let text = encode_shard(&PersistedShard { entries }).unwrap();
+        assert!(text.contains("named1_b"), "the shard carries real node names");
+        std::fs::write(dir.join("shard-000.json"), text).unwrap();
+
+        let cache = CompileCache::new();
+        let report = cache.load_from_dir(&dir).unwrap();
+        assert_eq!((report.shards_ok, report.entries_ok, report.entries_rejected), (1, 3, 0));
+        for (i, g) in graphs.iter().enumerate() {
+            let prefix: &[NodeId] = if i == 0 { &pin } else { &[] };
+            let twin = chain("renamed", 8 + i as u64);
+            assert_eq!(
+                cache.lookup(5, fingerprint(&twin), &Structure::of(&twin), prefix),
+                Some(schedule_of(g)),
+                "entry {i} hits"
+            );
+        }
+        assert_eq!(cache.stats().hits, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1335,21 +1416,21 @@ mod tests {
         let cache = small_cache(2);
         let graphs: Vec<Graph> = (0..3).map(|i| chain(&format!("g{i}"), 8 + i)).collect();
         let keys: Vec<u64> = graphs.iter().map(fingerprint).collect();
-        cache.insert(1, keys[0], &graphs[0], &[], &schedule_of(&graphs[0]));
-        cache.insert(1, keys[1], &graphs[1], &[], &schedule_of(&graphs[1]));
+        cache.insert(1, keys[0], Structure::of(&graphs[0]), &[], &schedule_of(&graphs[0]));
+        cache.insert(1, keys[1], Structure::of(&graphs[1]), &[], &schedule_of(&graphs[1]));
         // Touch entry 0 so entry 1 is the LRU victim after a reload too.
-        assert!(cache.lookup(1, keys[0], &graphs[0], &[]).is_some());
+        assert!(cache.lookup(1, keys[0], &Structure::of(&graphs[0]), &[]).is_some());
         cache.save_to_dir(&dir).unwrap();
 
         let restored = small_cache(2);
         restored.load_from_dir(&dir).unwrap();
-        restored.insert(1, keys[2], &graphs[2], &[], &schedule_of(&graphs[2]));
+        restored.insert(1, keys[2], Structure::of(&graphs[2]), &[], &schedule_of(&graphs[2]));
         assert!(
-            restored.lookup(1, keys[0], &graphs[0], &[]).is_some(),
+            restored.lookup(1, keys[0], &Structure::of(&graphs[0]), &[]).is_some(),
             "recently-used entry survives the post-restart eviction"
         );
         assert!(
-            restored.lookup(1, keys[1], &graphs[1], &[]).is_none(),
+            restored.lookup(1, keys[1], &Structure::of(&graphs[1]), &[]).is_none(),
             "the pre-save LRU victim is evicted first after restart"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -1367,7 +1448,7 @@ mod tests {
         // probability; assert on totals rather than per-shard placement.
         let graphs: Vec<Graph> = (0..8).map(|i| chain(&format!("g{i}"), 8 + i)).collect();
         for g in &graphs {
-            cache.insert(1, fingerprint(g), g, &[], &schedule_of(g));
+            cache.insert(1, fingerprint(g), Structure::of(g), &[], &schedule_of(g));
         }
         cache.save_to_dir(&dir).unwrap();
         std::fs::write(dir.join("shard-000.json"), "{ definitely not json").unwrap();
@@ -1453,7 +1534,7 @@ mod tests {
             ..Default::default()
         });
         let g = chain("g", 8);
-        cache.insert(1, fingerprint(&g), &g, &[], &schedule_of(&g));
+        cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         cache.save_to_dir(&dir).unwrap();
         let path = dir.join("shard-000.json");
         let text = std::fs::read_to_string(&path).unwrap();
@@ -1477,7 +1558,7 @@ mod tests {
             ..Default::default()
         });
         let g = chain("g", 8);
-        cache.insert(1, fingerprint(&g), &g, &[], &schedule_of(&g));
+        cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         cache.save_to_dir(&dir).unwrap();
         // Flip one digit inside the payload. The JSON stays well-formed,
         // so only the checksum can catch this — the shard must be
@@ -1525,7 +1606,7 @@ mod tests {
         });
         let graphs: Vec<Graph> = (0..4).map(|i| chain(&format!("g{i}"), 8 + i)).collect();
         for g in &graphs {
-            cache.insert(1, fingerprint(g), g, &[], &schedule_of(g));
+            cache.insert(1, fingerprint(g), Structure::of(g), &[], &schedule_of(g));
         }
         let first = cache.save_to_dir(&dir).unwrap();
         assert_eq!(first.entries_ok, 4);
@@ -1534,7 +1615,7 @@ mod tests {
             crate::fault::FaultPlan::parse("persist-io=1", 0).unwrap(),
         ));
         let g5 = chain("g5", 20);
-        cache.insert(1, fingerprint(&g5), &g5, &[], &schedule_of(&g5));
+        cache.insert(1, fingerprint(&g5), Structure::of(&g5), &[], &schedule_of(&g5));
         assert!(cache.save_to_dir(&dir).is_err(), "armed IO fault fails the save");
 
         // The failed save must not have disturbed the snapshot on disk.
@@ -1559,7 +1640,7 @@ mod tests {
         });
         let graphs: Vec<Graph> = (0..4).map(|i| chain(&format!("g{i}"), 8 + i)).collect();
         for g in &graphs {
-            cache.insert(1, fingerprint(g), g, &[], &schedule_of(g));
+            cache.insert(1, fingerprint(g), Structure::of(g), &[], &schedule_of(g));
         }
         cache.install_fault_plan(Arc::new(
             crate::fault::FaultPlan::parse("snapshot-corrupt=1", 0).unwrap(),
@@ -1584,7 +1665,7 @@ mod tests {
             ..Default::default()
         });
         let g = chain("g", 8);
-        cache.insert(1, fingerprint(&g), &g, &[], &schedule_of(&g));
+        cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         cache.save_to_dir(&dir).unwrap();
         assert!(!dir.join("shard-009.json.tmp").exists(), "stale temporary removed");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1599,7 +1680,7 @@ mod tests {
             ..Default::default()
         });
         let g = chain("g", 8);
-        cache.insert(1, fingerprint(&g), &g, &[], &schedule_of(&g));
+        cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         cache.save_to_dir(&dir).unwrap();
 
         // A smaller cache saved to the same directory must not leave the

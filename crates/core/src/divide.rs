@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use serenity_ir::cuts::{self, PartitionSummary};
-use serenity_ir::fingerprint::fingerprint;
+use serenity_ir::fingerprint::{fingerprint, Structure};
 use serenity_ir::{Graph, NodeId};
 
 use crate::backend::{AdaptiveBackend, CompileContext, CompileEvent, SchedulerBackend};
@@ -139,7 +139,7 @@ impl DivideAndConquer {
     pub(crate) fn publish(&self, memo: ScheduleMemo, ctx: &CompileContext) {
         if let Some((cache, backend_key)) = self.cache(ctx) {
             for (key, entry) in memo.into_entries() {
-                cache.insert(backend_key, key, &entry.graph, &entry.prefix, &entry.schedule);
+                cache.insert(backend_key, key, entry.structure, &entry.prefix, &entry.schedule);
             }
         }
     }
@@ -195,14 +195,17 @@ impl DivideAndConquer {
             let pinned = segment.pinned_prefix();
             // The pinned prefix is part of the memo identity: an unpinned
             // first segment can be structurally identical to a pinned later
-            // one, but their schedules are not interchangeable.
-            let memo_key = memo.map(|m| (m, fingerprint(&segment.graph)));
-            if let Some((memo, key)) = memo_key {
-                let replay = match memo.lookup(key, &segment.graph, &pinned) {
+            // one, but their schedules are not interchangeable. The key and
+            // the structure are computed once and serve the memo and the
+            // cache alike.
+            let memo_key =
+                memo.map(|m| (m, fingerprint(&segment.graph), Structure::of(&segment.graph)));
+            if let Some((memo, key, structure)) = &memo_key {
+                let replay = match memo.lookup(*key, structure, &pinned) {
                     Some(schedule) => Some((schedule, false)),
                     None => cache.and_then(|(cache, backend_key)| {
-                        let schedule = cache.lookup(backend_key, key, &segment.graph, &pinned)?;
-                        memo.insert(key, &segment.graph, &pinned, &schedule);
+                        let schedule = cache.lookup(backend_key, *key, structure, &pinned)?;
+                        memo.insert(*key, structure.clone(), &pinned, &schedule);
                         Some((schedule, true))
                     }),
                 };
@@ -245,13 +248,13 @@ impl DivideAndConquer {
                 }
                 Err(other) => return Err(other),
             };
-            if let Some((memo, key)) = memo_key {
+            if let Some((memo, key, structure)) = memo_key {
                 stats.memo_misses += 1;
                 stats.cache_misses += u64::from(cache.is_some());
-                memo.insert(key, &segment.graph, &pinned, &schedule);
                 if let Some((cache, backend_key)) = write_through {
-                    cache.insert(backend_key, key, &segment.graph, &pinned, &schedule);
+                    cache.insert(backend_key, key, structure.clone(), &pinned, &schedule);
                 }
+                memo.insert(key, structure, &pinned, &schedule);
             }
             total_stats.absorb(&stats);
             ctx.emit(CompileEvent::SegmentScheduled {

@@ -9,11 +9,14 @@
 //! stored order on a hit, so unchanged segments are never re-searched.
 //!
 //! Hits are exact, not probabilistic: fingerprints can collide, so every hash
-//! hit is confirmed with [`serenity_ir::fingerprint::structural_eq`] *and* an
-//! exact match of the pinned boundary prefix before the stored schedule is
-//! replayed — a collision degrades to a miss, never to a wrong schedule, and
-//! a schedule computed unpinned is never replayed into a pinned segment
-//! (whose order must lead with the boundary placeholder) or vice versa.
+//! hit is confirmed by byte equality of the segment's
+//! [`Structure`](serenity_ir::fingerprint::Structure) (the canonical
+//! encoding of what [`serenity_ir::fingerprint::structural_eq`] compares,
+//! which an entry holds instead of a graph) *and* of the pinned boundary
+//! prefix before the stored schedule is replayed — a collision degrades to
+//! a miss, never to a wrong schedule, and a schedule computed unpinned is
+//! never replayed into a pinned segment (whose order must lead with the
+//! boundary placeholder) or vice versa.
 //! Replay is also deterministic: all backends are deterministic functions of
 //! the (structural) graph, so a replayed schedule is byte-identical to what a
 //! fresh search of the same backend would return, and memoized runs stay
@@ -30,16 +33,17 @@
 
 use std::sync::{Arc, Mutex};
 
-use serenity_ir::fingerprint::structural_eq;
+use serenity_ir::fingerprint::Structure;
 use serenity_ir::fxhash::FxHashMap;
-use serenity_ir::{Graph, NodeId};
+use serenity_ir::NodeId;
 
 use crate::Schedule;
 
 /// One memoized schedule with the identity it was produced under.
 pub(crate) struct MemoEntry {
-    /// The graph the schedule belongs to, kept for exact hit confirmation.
-    pub(crate) graph: Graph,
+    /// The structure of the graph the schedule belongs to, kept for exact
+    /// hit confirmation.
+    pub(crate) structure: Structure,
     /// The pinned prefix the schedule was produced under. Part of the
     /// entry's identity: a schedule computed unpinned need not start with
     /// the boundary placeholder, so replaying it into a pinned segment
@@ -50,8 +54,8 @@ pub(crate) struct MemoEntry {
 }
 
 impl MemoEntry {
-    fn matches(&self, graph: &Graph, prefix: &[NodeId]) -> bool {
-        self.prefix == prefix && structural_eq(&self.graph, graph)
+    fn matches(&self, structure: &Structure, prefix: &[NodeId]) -> bool {
+        self.prefix == prefix && self.structure == *structure
     }
 }
 
@@ -85,27 +89,38 @@ impl ScheduleMemo {
         ScheduleMemo { parent: Some(parent), ..ScheduleMemo::default() }
     }
 
-    /// Returns the memoized schedule of a graph structurally equal to
-    /// `graph` that was produced under the same pinned `prefix`, if one was
-    /// inserted here or in a parent layer. `key` is the graph's
+    /// Returns the memoized schedule of a graph with this `structure` that
+    /// was produced under the same pinned `prefix`, if one was inserted here
+    /// or in a parent layer. `key` is the graph's
     /// [`fingerprint`](serenity_ir::fingerprint::fingerprint).
-    pub(crate) fn lookup(&self, key: u64, graph: &Graph, prefix: &[NodeId]) -> Option<Schedule> {
+    pub(crate) fn lookup(
+        &self,
+        key: u64,
+        structure: &Structure,
+        prefix: &[NodeId],
+    ) -> Option<Schedule> {
         let local = self.entries.lock().expect("memo lock").get(&key).and_then(|bucket| {
-            bucket.iter().find(|e| e.matches(graph, prefix)).map(|e| e.schedule.clone())
+            bucket.iter().find(|e| e.matches(structure, prefix)).map(|e| e.schedule.clone())
         });
-        local.or_else(|| self.parent.as_ref().and_then(|p| p.lookup(key, graph, prefix)))
+        local.or_else(|| self.parent.as_ref().and_then(|p| p.lookup(key, structure, prefix)))
     }
 
-    /// Stores `schedule` (produced under pinned `prefix`) for `graph` under
-    /// `key`. A structurally equal entry with the same prefix already
-    /// present is kept (first write wins — backends are deterministic, so
-    /// the schedules are identical anyway).
-    pub(crate) fn insert(&self, key: u64, graph: &Graph, prefix: &[NodeId], schedule: &Schedule) {
+    /// Stores `schedule` (produced under pinned `prefix`) for the graph with
+    /// this `structure` under `key`. An entry with the same structure and
+    /// prefix already present is kept (first write wins — backends are
+    /// deterministic, so the schedules are identical anyway).
+    pub(crate) fn insert(
+        &self,
+        key: u64,
+        structure: Structure,
+        prefix: &[NodeId],
+        schedule: &Schedule,
+    ) {
         let mut entries = self.entries.lock().expect("memo lock");
         let bucket = entries.entry(key).or_default();
-        if !bucket.iter().any(|e| e.matches(graph, prefix)) {
+        if !bucket.iter().any(|e| e.matches(&structure, prefix)) {
             bucket.push(MemoEntry {
-                graph: graph.clone(),
+                structure,
                 prefix: prefix.to_vec(),
                 schedule: schedule.clone(),
             });
@@ -120,7 +135,7 @@ impl ScheduleMemo {
         let mut entries = self.entries.lock().expect("memo lock");
         for (key, entry) in overlay.into_entries() {
             let bucket = entries.entry(key).or_default();
-            if !bucket.iter().any(|e| e.matches(&entry.graph, &entry.prefix)) {
+            if !bucket.iter().any(|e| e.matches(&entry.structure, &entry.prefix)) {
                 bucket.push(entry);
             }
         }
@@ -138,7 +153,7 @@ impl ScheduleMemo {
 mod tests {
     use super::*;
     use serenity_ir::fingerprint::fingerprint;
-    use serenity_ir::topo;
+    use serenity_ir::{topo, Graph};
 
     fn chain(name: &str, bytes: u64) -> Graph {
         let mut g = Graph::new(name);
@@ -157,11 +172,12 @@ mod tests {
         let memo = ScheduleMemo::new();
         let g = chain("g", 10);
         let schedule = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
-        memo.insert(fingerprint(&g), &g, &[], &schedule);
+        memo.insert(fingerprint(&g), Structure::of(&g), &[], &schedule);
 
         // A structurally identical graph with different names hits.
         let twin = chain("other", 10);
-        let replayed = memo.lookup(fingerprint(&twin), &twin, &[]).expect("twin hits");
+        let replayed =
+            memo.lookup(fingerprint(&twin), &Structure::of(&twin), &[]).expect("twin hits");
         assert_eq!(replayed, schedule);
         assert_eq!(len(memo), 1);
     }
@@ -171,10 +187,10 @@ mod tests {
         let memo = ScheduleMemo::new();
         let g = chain("g", 10);
         let schedule = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
-        memo.insert(fingerprint(&g), &g, &[], &schedule);
+        memo.insert(fingerprint(&g), Structure::of(&g), &[], &schedule);
 
         let other = chain("g", 64);
-        assert!(memo.lookup(fingerprint(&other), &other, &[]).is_none());
+        assert!(memo.lookup(fingerprint(&other), &Structure::of(&other), &[]).is_none());
     }
 
     #[test]
@@ -186,13 +202,16 @@ mod tests {
         let g = chain("g", 10);
         let key = fingerprint(&g);
         let unpinned = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
-        memo.insert(key, &g, &[], &unpinned);
+        memo.insert(key, Structure::of(&g), &[], &unpinned);
 
         let pin = [serenity_ir::NodeId::from_index(0)];
-        assert!(memo.lookup(key, &g, &pin).is_none(), "pinned lookup must not see unpinned entry");
-        memo.insert(key, &g, &pin, &unpinned);
-        assert!(memo.lookup(key, &g, &pin).is_some());
-        assert!(memo.lookup(key, &g, &[]).is_some());
+        assert!(
+            memo.lookup(key, &Structure::of(&g), &pin).is_none(),
+            "pinned lookup must not see unpinned entry"
+        );
+        memo.insert(key, Structure::of(&g), &pin, &unpinned);
+        assert!(memo.lookup(key, &Structure::of(&g), &pin).is_some());
+        assert!(memo.lookup(key, &Structure::of(&g), &[]).is_some());
         assert_eq!(len(memo), 2, "pinned and unpinned entries coexist");
     }
 
@@ -202,8 +221,8 @@ mod tests {
         let g = chain("g", 10);
         let schedule = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
         let key = fingerprint(&g);
-        memo.insert(key, &g, &[], &schedule);
-        memo.insert(key, &chain("renamed", 10), &[], &schedule);
+        memo.insert(key, Structure::of(&g), &[], &schedule);
+        memo.insert(key, Structure::of(&chain("renamed", 10)), &[], &schedule);
         assert_eq!(len(memo), 1);
     }
 
@@ -213,23 +232,23 @@ mod tests {
         let g = chain("g", 10);
         let key = fingerprint(&g);
         let schedule = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
-        base.insert(key, &g, &[], &schedule);
+        base.insert(key, Structure::of(&g), &[], &schedule);
 
         // Parent entries are visible through the layer.
         let layer = ScheduleMemo::layered(Arc::clone(&base));
-        assert_eq!(layer.lookup(key, &g, &[]).unwrap(), schedule);
+        assert_eq!(layer.lookup(key, &Structure::of(&g), &[]).unwrap(), schedule);
 
         // Local inserts stay local until absorbed.
         let h = chain("h", 64);
         let hk = fingerprint(&h);
         let hs = Schedule::from_order(&h, topo::kahn(&h)).unwrap();
-        layer.insert(hk, &h, &[], &hs);
-        assert!(base.lookup(hk, &h, &[]).is_none());
+        layer.insert(hk, Structure::of(&h), &[], &hs);
+        assert!(base.lookup(hk, &Structure::of(&h), &[]).is_none());
         base.absorb(layer);
-        assert_eq!(base.lookup(hk, &h, &[]).unwrap(), hs);
+        assert_eq!(base.lookup(hk, &Structure::of(&h), &[]).unwrap(), hs);
         // Absorbing a duplicate of an existing entry keeps the first write.
         let dup = ScheduleMemo::new();
-        dup.insert(key, &chain("renamed", 10), &[], &schedule);
+        dup.insert(key, Structure::of(&chain("renamed", 10)), &[], &schedule);
         base.absorb(dup);
         let base = Arc::try_unwrap(base).ok().expect("layer dropped on absorb");
         assert_eq!(len(base), 2);
@@ -244,10 +263,10 @@ mod tests {
         let h = chain("h", 99);
         let gs = Schedule::from_order(&g, topo::kahn(&g)).unwrap();
         let hs = Schedule::from_order(&h, topo::kahn(&h)).unwrap();
-        memo.insert(42, &g, &[], &gs);
-        memo.insert(42, &h, &[], &hs);
-        assert_eq!(memo.lookup(42, &h, &[]).unwrap().peak_bytes, hs.peak_bytes);
-        assert_eq!(memo.lookup(42, &g, &[]).unwrap().peak_bytes, gs.peak_bytes);
+        memo.insert(42, Structure::of(&g), &[], &gs);
+        memo.insert(42, Structure::of(&h), &[], &hs);
+        assert_eq!(memo.lookup(42, &Structure::of(&h), &[]).unwrap().peak_bytes, hs.peak_bytes);
+        assert_eq!(memo.lookup(42, &Structure::of(&g), &[]).unwrap().peak_bytes, gs.peak_bytes);
         assert_eq!(len(memo), 2);
     }
 }

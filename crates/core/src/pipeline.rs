@@ -37,7 +37,9 @@ use crate::cache::CompileCache;
 use crate::capacity::{CapacityReport, CapacityTarget};
 use crate::divide::DivideAndConquer;
 use crate::fault::{panic_message, FaultPlan, FaultPoint};
-use crate::rewrite::{AppliedRewrite, RewriteSearchConfig, RewriteSearchSummary, Rewriter};
+use crate::rewrite::{
+    AppliedRewrite, RewriteSearchConfig, RewriteSearchSummary, RewriteStop, Rewriter,
+};
 use crate::{Schedule, ScheduleError, ScheduleStats};
 
 /// Minimum wall-clock budget worth handing to a non-final degradation
@@ -398,9 +400,11 @@ impl Serenity {
     /// Propagates scheduling failures ([`ScheduleError`], including
     /// [`ScheduleError::DeadlineExceeded`] and [`ScheduleError::Cancelled`])
     /// and graph errors. A deadline compile schedules the original graph
-    /// first; a deadline that passes after that while the rewrite search
-    /// scores candidates, or while the rewritten graph is re-scheduled, is
-    /// not an error: the original's schedule is returned, with no rewrites.
+    /// first; a deadline that passes after that — while the rewrite search
+    /// scores the input graph or its candidates, or while the rewritten
+    /// graph is re-scheduled — is not an error: the original's schedule is
+    /// returned, with no rewrites. A search stopped while scoring the input
+    /// graph reports [`RewriteStop::Deadline`] with nothing scored.
     pub fn compile(&self, graph: &Graph) -> Result<CompiledSchedule, ScheduleError> {
         let started = Instant::now();
         let ctx = CompileContext::new(self.config.options.clone());
@@ -453,15 +457,30 @@ impl Serenity {
                     .rewrite_scorer
                     .clone()
                     .unwrap_or_else(|| Arc::new(BeamBackend::default()));
-                let outcome = Rewriter::standard()
+                let searched_at = Instant::now();
+                let search = Rewriter::standard()
                     .cost_guided()
                     .config(self.config.rewrite_search)
                     .score_backend(scorer)
-                    .run(graph, &ctx)?;
-                stats.absorb(&outcome.stats);
-                let changed = outcome.changed();
-                rewrite_search = Some(outcome.summary);
-                changed.then_some((outcome.graph, outcome.applied))
+                    .run(graph, &ctx);
+                match search {
+                    Ok(outcome) => {
+                        stats.absorb(&outcome.stats);
+                        let changed = outcome.changed();
+                        rewrite_search = Some(outcome.summary);
+                        changed.then_some((outcome.graph, outcome.applied))
+                    }
+                    // The deadline passed while the search scored the input
+                    // graph. A deadline compile scheduled the original
+                    // first, so that schedule is the answer.
+                    Err(ScheduleError::DeadlineExceeded { .. }) if original.is_some() => {
+                        let wall = searched_at.elapsed();
+                        rewrite_search =
+                            Some(RewriteSearchSummary::unscored(RewriteStop::Deadline, wall));
+                        None
+                    }
+                    Err(other) => return Err(other),
+                }
             }
         };
 
@@ -1122,6 +1141,33 @@ mod tests {
             }
             BeamBackend::default().schedule(graph, ctx)
         }
+    }
+
+    #[test]
+    fn a_deadline_while_scoring_the_input_graph_returns_the_original_schedule() {
+        // The scorer stalls on its first call, while the search scores the
+        // input graph: the search stops unscored, and the original's
+        // schedule, already in hand, is the answer.
+        let g = concat_cell();
+        let scorer =
+            StallingScorer { free_calls: 0, calls: Default::default(), stall: Default::default() };
+        let (compiled, events) = compile_collecting(
+            Serenity::builder()
+                .rewrite_score_backend(Arc::new(scorer))
+                .deadline(Duration::from_millis(300)),
+            &g,
+        );
+        let compiled = compiled.expect("the original's schedule is returned");
+        let summary = compiled.rewrite_search.expect("the search ran");
+        assert_eq!(summary.stop, RewriteStop::Deadline);
+        assert_eq!((summary.candidates_scored, summary.initial_peak_bytes), (0, 0));
+        assert!(compiled.rewrites.is_empty());
+        assert_eq!(candidates(&events), [false]);
+        let original = Serenity::builder().rewrite(RewriteMode::Off).build().compile(&g).unwrap();
+        assert_eq!(
+            (compiled.peak_bytes, compiled.schedule.order),
+            (original.peak_bytes, original.schedule.order)
+        );
     }
 
     #[test]

@@ -170,6 +170,25 @@ pub struct RewriteSearchSummary {
 }
 
 impl RewriteSearchSummary {
+    /// The summary of a search that stopped before it scored the input
+    /// graph: nothing scored or applied, both peaks zero ("never scored").
+    pub(crate) fn unscored(stop: RewriteStop, wall: Duration) -> Self {
+        RewriteSearchSummary {
+            iterations: 0,
+            candidates_scored: 0,
+            applied: 0,
+            stop,
+            memo_hits: 0,
+            memo_misses: 0,
+            initial_peak_bytes: 0,
+            final_peak_bytes: 0,
+            kept: false,
+            wall,
+            site_scan: Duration::ZERO,
+            candidate_build: Duration::ZERO,
+        }
+    }
+
     /// Fraction of segment-scheduling lookups served from the memo.
     pub fn memo_hit_rate(&self) -> f64 {
         let total = self.memo_hits + self.memo_misses;
@@ -700,18 +719,8 @@ impl RewriteSearch {
         site_scan += scan_at.elapsed();
         if sites.is_empty() {
             let summary = RewriteSearchSummary {
-                iterations: 0,
-                candidates_scored: 0,
-                applied: 0,
-                stop: RewriteStop::FixedPoint,
-                memo_hits: 0,
-                memo_misses: 0,
-                initial_peak_bytes: 0,
-                final_peak_bytes: 0,
-                kept: false,
-                wall: started.elapsed(),
                 site_scan,
-                candidate_build,
+                ..RewriteSearchSummary::unscored(RewriteStop::FixedPoint, started.elapsed())
             };
             ctx.emit(CompileEvent::RewriteSearchFinished {
                 iterations: 0,

@@ -235,3 +235,19 @@ fn tiny_budget_evicts_but_never_corrupts_results() {
     }
     assert!(cache.entry_bytes() <= 4 * 1024, "budget must hold: {:?}", cache.stats());
 }
+
+#[test]
+fn the_nine_suite_cells_fit_in_a_small_cache() {
+    // A host-independent memory gate: an entry holds its segment's
+    // structure encoding, prefix and order (a few bytes per node) and is
+    // charged exactly that plus a fixed overhead. Entries that kept a
+    // `Graph` clone were charged 146,948 B for these 66 and held more.
+    let cache = Arc::new(CompileCache::new());
+    let compiler = Serenity::builder().compile_cache(Arc::clone(&cache)).build();
+    for bench in serenity_nets::suite::suite() {
+        compiler.compile(&bench.graph).unwrap();
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.entries, 66, "{stats:?}");
+    assert!(stats.entry_bytes <= 32 * 1024, "{stats:?}");
+}

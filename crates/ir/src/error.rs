@@ -38,6 +38,12 @@ pub enum GraphError {
         /// Description of the violation.
         detail: String,
     },
+    /// Bytes that are not a [`Structure`](crate::fingerprint::Structure)
+    /// encoding.
+    MalformedEncoding {
+        /// Byte offset at which decoding failed.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -63,6 +69,9 @@ impl fmt::Display for GraphError {
             GraphError::Empty => f.write_str("graph has no nodes"),
             GraphError::InvalidOrder { detail } => {
                 write!(f, "invalid topological order: {detail}")
+            }
+            GraphError::MalformedEncoding { offset } => {
+                write!(f, "malformed structure encoding at byte {offset}")
             }
         }
     }

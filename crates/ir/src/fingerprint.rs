@@ -21,12 +21,18 @@
 //! hashed positionally rather than sorted.
 //!
 //! Like any 64-bit hash, fingerprints can collide; exact consumers confirm
-//! candidates with [`structural_eq`], the equality the fingerprint abstracts.
+//! candidates with [`structural_eq`], the equality the fingerprint abstracts,
+//! or compare [`Structure`]s: one canonical byte encoding of exactly what
+//! [`structural_eq`] compares, so that a stored segment costs one small
+//! allocation instead of a whole [`Graph`] and a confirm is a slice compare.
 
 use std::hash::{Hash, Hasher};
 
 use crate::fxhash::FxHasher;
-use crate::{Graph, Op};
+use crate::{
+    ChannelRange, Conv2d, DType, Dense, DepthwiseConv2d, Graph, GraphError, Node, NodeId, Op,
+    Padding, Pool2d, TensorShape, WeightId, WeightRef,
+};
 
 /// Golden-ratio increment used to derive a distinct stream per node position
 /// (same constant family as [`crate::ZobristTable`]'s splitmix64 keys).
@@ -159,6 +165,393 @@ pub fn structural_eq(a: &Graph, b: &Graph) -> bool {
     })
 }
 
+/// The canonical byte encoding of a graph's structure: exactly what
+/// [`structural_eq`] compares, so two graphs encode to equal bytes if and
+/// only if they are structurally equal.
+///
+/// The bytes are LEB128 varints: the node count and the explicit outputs,
+/// then per node the op tag and every op field (weight id and both channel
+/// slices included), the shape's dims and dtype, and the ordered predecessor
+/// list. Node names, the graph name and opaque labels stay out. A schedule
+/// store keeps one `Structure` per entry instead of a [`Graph`] clone: one
+/// allocation of a few bytes per node, and a hit confirm is a slice compare.
+///
+/// # Example
+///
+/// ```
+/// use serenity_ir::fingerprint::{structural_eq, Structure};
+/// use serenity_ir::Graph;
+///
+/// # fn main() -> Result<(), serenity_ir::GraphError> {
+/// let mut a = Graph::new("a");
+/// let x = a.add_opaque("x", 64, &[])?;
+/// a.add_opaque("y", 32, &[x])?;
+/// let mut b = Graph::new("renamed");
+/// let x = b.add_opaque("p", 64, &[])?;
+/// b.add_opaque("q", 32, &[x])?;
+/// assert_eq!(Structure::of(&a), Structure::of(&b));
+/// assert!(structural_eq(&Structure::of(&a).to_graph()?, &a));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Structure(Box<[u8]>);
+
+impl Structure {
+    /// Encodes `graph`.
+    pub fn of(graph: &Graph) -> Self {
+        let mut out = Vec::with_capacity(8 + 16 * graph.len());
+        put(&mut out, graph.len() as u64);
+        put(&mut out, graph.explicit_outputs().len() as u64);
+        for &o in graph.explicit_outputs() {
+            put(&mut out, o.index() as u64);
+        }
+        for node in graph.nodes() {
+            put_op(&mut out, &node.op);
+            put(&mut out, node.shape.rank() as u64);
+            for &d in node.shape.dims() {
+                put(&mut out, d as u64);
+            }
+            out.push(dtype_tag(node.shape.dtype()));
+            let preds = graph.preds(node.id);
+            put(&mut out, preds.len() as u64);
+            for &p in preds {
+                put(&mut out, p.index() as u64);
+            }
+        }
+        Structure(out.into_boxed_slice())
+    }
+
+    /// Wraps bytes of unknown origin (a snapshot, a test input) without
+    /// checking them; [`Structure::to_graph`] is the check.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        Structure(bytes.into())
+    }
+
+    /// The encoded bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Rebuilds a graph with this structure. Nodes and opaque labels get
+    /// placeholder names (`n0`, `n1`, …), so the result is structurally
+    /// equal to every graph that encodes to these bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::MalformedEncoding`] if the bytes are not an encoding
+    /// [`Structure::of`] produces: truncated or trailing bytes, an overlong
+    /// or overflowing varint, an unknown tag, a predecessor that does not
+    /// precede its consumer, a repeated predecessor or output, an op arity
+    /// the graph API rejects, or a shape whose byte size overflows.
+    pub fn to_graph(&self) -> Result<Graph, GraphError> {
+        let mut d = Decoder { bytes: &self.0, at: 0 };
+        let len = d.count()?;
+        if u32::try_from(len).is_err() {
+            return Err(d.fail());
+        }
+        // `seen[j] == s` marks node j as already listed in list `s` (the
+        // outputs are list `len`, node i's predecessors list `i`), so a
+        // repeat is caught in O(1) however long the list.
+        let mut seen = vec![usize::MAX; len];
+        let mut outputs: Vec<NodeId> = Vec::new();
+        for _ in 0..d.count()? {
+            let o = d.index(len)?;
+            if std::mem::replace(&mut seen[o], len) == len {
+                return Err(d.fail());
+            }
+            outputs.push(NodeId::from_index(o));
+        }
+        let mut nodes = Vec::new();
+        let mut preds: Vec<Vec<NodeId>> = Vec::new();
+        let mut succs: Vec<Vec<NodeId>> = Vec::new();
+        let mut next_weight = 0u32;
+        for i in 0..len {
+            let id = NodeId::from_index(i);
+            let mut op = d.op()?;
+            if let Op::Opaque { label } = &mut op {
+                *label = id.to_string();
+            }
+            let dims = (0..d.count()?).map(|_| d.usize()).collect::<Result<Vec<_>, _>>()?;
+            let dtype = match d.byte()? {
+                0 => DType::F32,
+                1 => DType::F16,
+                2 => DType::I8,
+                3 => DType::U8,
+                _ => return Err(d.fail()),
+            };
+            let bytes =
+                dims.iter().try_fold(dtype.size_bytes(), |acc, &x| acc.checked_mul(x as u64));
+            if dims.is_empty() || bytes.is_none() {
+                return Err(d.fail());
+            }
+            let mut inputs: Vec<NodeId> = Vec::new();
+            for _ in 0..d.count()? {
+                let p = d.index(i)?;
+                if std::mem::replace(&mut seen[p], i) == i {
+                    return Err(d.fail());
+                }
+                inputs.push(NodeId::from_index(p));
+                succs[p].push(id);
+            }
+            let (min, max) = op.arity();
+            if inputs.len() < min || inputs.len() > max {
+                return Err(d.fail());
+            }
+            if let Some(w) = op.weight() {
+                next_weight = next_weight.max(w.id.0.saturating_add(1));
+            }
+            let shape = TensorShape::new(dims, dtype);
+            nodes.push(Node { id, name: id.to_string(), op, shape });
+            preds.push(inputs);
+            succs.push(Vec::new());
+        }
+        if d.at != d.bytes.len() {
+            return Err(d.fail());
+        }
+        Ok(Graph::from_parts("structure".into(), nodes, preds, succs, outputs, next_weight))
+    }
+}
+
+/// Appends `v` as an unsigned LEB128 varint.
+fn put(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn put_pair(out: &mut Vec<u8>, (a, b): (usize, usize)) {
+    put(out, a as u64);
+    put(out, b as u64);
+}
+
+fn put_padding(out: &mut Vec<u8>, padding: Padding) {
+    out.push(match padding {
+        Padding::Same => 0,
+        Padding::Valid => 1,
+    });
+}
+
+fn put_weight(out: &mut Vec<u8>, weight: &WeightRef) {
+    let WeightRef { id, in_slice, kernel_slice } = weight;
+    put(out, u64::from(id.0));
+    for slice in [in_slice, kernel_slice] {
+        match slice {
+            None => out.push(0),
+            Some(ChannelRange { start, end }) => {
+                out.push(1);
+                put(out, u64::from(*start));
+                put(out, u64::from(*end));
+            }
+        }
+    }
+}
+
+fn put_pool(out: &mut Vec<u8>, pool: &Pool2d) {
+    let Pool2d { kernel, stride, padding } = pool;
+    put_pair(out, *kernel);
+    put_pair(out, *stride);
+    put_padding(out, *padding);
+}
+
+/// Appends the op tag and every field; the match and the struct patterns
+/// are exhaustive, so a new variant or field fails to compile here.
+fn put_op(out: &mut Vec<u8>, op: &Op) {
+    match op {
+        Op::Input => out.push(0),
+        Op::Conv2d(Conv2d { out_channels, kernel, stride, padding, dilation, weight }) => {
+            out.push(1);
+            put(out, *out_channels as u64);
+            put_pair(out, *kernel);
+            put_pair(out, *stride);
+            put_padding(out, *padding);
+            put_pair(out, *dilation);
+            put_weight(out, weight);
+        }
+        Op::DepthwiseConv2d(DepthwiseConv2d { kernel, stride, padding, dilation, weight }) => {
+            out.push(2);
+            put_pair(out, *kernel);
+            put_pair(out, *stride);
+            put_padding(out, *padding);
+            put_pair(out, *dilation);
+            put_weight(out, weight);
+        }
+        Op::Dense(Dense { out_features, weight }) => {
+            out.push(3);
+            put(out, *out_features as u64);
+            put_weight(out, weight);
+        }
+        Op::Concat { axis } => {
+            out.push(4);
+            put(out, *axis as u64);
+        }
+        Op::Add => out.push(5),
+        Op::SlabConcat { axis } => {
+            out.push(6);
+            put(out, *axis as u64);
+        }
+        Op::AccumAdd => out.push(7),
+        Op::Relu => out.push(8),
+        Op::Sigmoid => out.push(9),
+        Op::BatchNorm => out.push(10),
+        Op::MaxPool2d(pool) => {
+            out.push(11);
+            put_pool(out, pool);
+        }
+        Op::AvgPool2d(pool) => {
+            out.push(12);
+            put_pool(out, pool);
+        }
+        Op::GlobalAvgPool => out.push(13),
+        Op::Identity => out.push(14),
+        // Opaque labels are cosmetic, like names.
+        Op::Opaque { label: _ } => out.push(15),
+    }
+}
+
+fn dtype_tag(dtype: DType) -> u8 {
+    match dtype {
+        DType::F32 => 0,
+        DType::F16 => 1,
+        DType::I8 => 2,
+        DType::U8 => 3,
+    }
+}
+
+/// Reads a [`Structure`]'s bytes back; every read checks its bounds.
+struct Decoder<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Decoder<'_> {
+    fn fail(&self) -> GraphError {
+        GraphError::MalformedEncoding { offset: self.at }
+    }
+
+    fn byte(&mut self) -> Result<u8, GraphError> {
+        let b = *self.bytes.get(self.at).ok_or_else(|| self.fail())?;
+        self.at += 1;
+        Ok(b)
+    }
+
+    /// One varint; rejects overlong forms, so every value has one encoding.
+    fn uint(&mut self) -> Result<u64, GraphError> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = self.byte()?;
+            if shift == 63 && b > 1 {
+                return Err(self.fail());
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return if b == 0 && shift > 0 { Err(self.fail()) } else { Ok(v) };
+            }
+            shift += 7;
+        }
+    }
+
+    fn usize(&mut self) -> Result<usize, GraphError> {
+        usize::try_from(self.uint()?).map_err(|_| self.fail())
+    }
+
+    fn u32(&mut self) -> Result<u32, GraphError> {
+        u32::try_from(self.uint()?).map_err(|_| self.fail())
+    }
+
+    /// A count of items that take at least one byte each, so an untrusted
+    /// count can never ask for more than the input holds.
+    fn count(&mut self) -> Result<usize, GraphError> {
+        let n = self.usize()?;
+        if n > self.bytes.len() - self.at {
+            return Err(self.fail());
+        }
+        Ok(n)
+    }
+
+    /// A node index below `bound`.
+    fn index(&mut self, bound: usize) -> Result<usize, GraphError> {
+        let i = self.usize()?;
+        if i >= bound {
+            return Err(self.fail());
+        }
+        Ok(i)
+    }
+
+    fn pair(&mut self) -> Result<(usize, usize), GraphError> {
+        Ok((self.usize()?, self.usize()?))
+    }
+
+    fn padding(&mut self) -> Result<Padding, GraphError> {
+        match self.byte()? {
+            0 => Ok(Padding::Same),
+            1 => Ok(Padding::Valid),
+            _ => Err(self.fail()),
+        }
+    }
+
+    fn slice(&mut self) -> Result<Option<ChannelRange>, GraphError> {
+        match self.byte()? {
+            0 => Ok(None),
+            1 => {
+                let (start, end) = (self.u32()?, self.u32()?);
+                if start > end {
+                    return Err(self.fail());
+                }
+                Ok(Some(ChannelRange { start, end }))
+            }
+            _ => Err(self.fail()),
+        }
+    }
+
+    fn weight(&mut self) -> Result<WeightRef, GraphError> {
+        let id = WeightId(self.u32()?);
+        Ok(WeightRef { id, in_slice: self.slice()?, kernel_slice: self.slice()? })
+    }
+
+    fn pool(&mut self) -> Result<Pool2d, GraphError> {
+        Ok(Pool2d { kernel: self.pair()?, stride: self.pair()?, padding: self.padding()? })
+    }
+
+    fn op(&mut self) -> Result<Op, GraphError> {
+        Ok(match self.byte()? {
+            0 => Op::Input,
+            1 => Op::Conv2d(Conv2d {
+                out_channels: self.usize()?,
+                kernel: self.pair()?,
+                stride: self.pair()?,
+                padding: self.padding()?,
+                dilation: self.pair()?,
+                weight: self.weight()?,
+            }),
+            2 => Op::DepthwiseConv2d(DepthwiseConv2d {
+                kernel: self.pair()?,
+                stride: self.pair()?,
+                padding: self.padding()?,
+                dilation: self.pair()?,
+                weight: self.weight()?,
+            }),
+            3 => Op::Dense(Dense { out_features: self.usize()?, weight: self.weight()? }),
+            4 => Op::Concat { axis: self.usize()? },
+            5 => Op::Add,
+            6 => Op::SlabConcat { axis: self.usize()? },
+            7 => Op::AccumAdd,
+            8 => Op::Relu,
+            9 => Op::Sigmoid,
+            10 => Op::BatchNorm,
+            11 => Op::MaxPool2d(self.pool()?),
+            12 => Op::AvgPool2d(self.pool()?),
+            13 => Op::GlobalAvgPool,
+            14 => Op::Identity,
+            15 => Op::Opaque { label: String::new() },
+            _ => return Err(self.fail()),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,6 +654,51 @@ mod tests {
         let cache = FingerprintCache::new(&a);
         let updated = cache.update(&b, crate::NodeId::from_index(0));
         assert_eq!(updated.hash(), fingerprint(&b));
+    }
+
+    #[test]
+    fn structure_follows_structural_eq() {
+        let a = cell("a", "relu_a");
+        assert_eq!(Structure::of(&a), Structure::of(&cell("b", "relu_b")));
+        let mut marked = a.clone();
+        marked.mark_output(crate::NodeId::from_index(1));
+        assert_ne!(Structure::of(&a), Structure::of(&marked));
+        assert_ne!(Structure::of(&a), Structure::of(&cell_wider()));
+        let mut opaque = Graph::new("o");
+        opaque.add_opaque("label-one", 10, &[]).unwrap();
+        let mut relabeled = Graph::new("o");
+        relabeled.add_opaque("label-two", 10, &[]).unwrap();
+        assert_eq!(Structure::of(&opaque), Structure::of(&relabeled));
+    }
+
+    #[test]
+    fn to_graph_round_trips_with_placeholder_names() {
+        let g = cell("g", "r");
+        let structure = Structure::of(&g);
+        let back = structure.to_graph().unwrap();
+        assert!(structural_eq(&back, &g));
+        assert_eq!(Structure::of(&back), structure);
+        assert_eq!(back.node(crate::NodeId::from_index(2)).name, "n2");
+        assert!(back.validate().is_ok());
+        assert!(Structure::of(&Graph::new("empty")).to_graph().unwrap().is_empty());
+    }
+
+    #[test]
+    fn malformed_bytes_are_rejected() {
+        let bytes = Structure::of(&cell("g", "r")).as_bytes().to_vec();
+        for cut in 0..bytes.len() {
+            assert!(Structure::from_bytes(&bytes[..cut]).to_graph().is_err(), "cut at {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(Structure::from_bytes(&trailing).to_graph().is_err());
+        // An overlong zero, a varint past 64 bits, an unknown op tag.
+        for bad in [&[0x80, 0x00][..], &[0xff; 11][..], &[1, 0, 99][..]] {
+            assert!(matches!(
+                Structure::from_bytes(bad).to_graph(),
+                Err(GraphError::MalformedEncoding { .. })
+            ));
+        }
     }
 
     fn cell_wider() -> Graph {

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use rand::Rng;
+use serenity_ir::fingerprint::{structural_eq, Structure};
 use serenity_ir::random_dag::{random_dag, RandomDagConfig};
 use serenity_ir::set::wordset;
 use serenity_ir::{cuts, mem, topo, DType, Graph, NodeId, NodeSet, Op, TensorShape, ZobristTable};
@@ -97,6 +98,201 @@ prop_compose! {
             )
         }
     }
+}
+
+prop_compose! {
+    /// Graphs of 1–3 nodes with 1–2 byte outputs: two independent draws
+    /// are structurally equal often enough to test both directions of an
+    /// equivalence.
+    fn arb_tiny_graph()(
+        nodes in 1usize..4,
+        edge_prob in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) -> Graph {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        random_dag(
+            &RandomDagConfig { nodes, edge_prob, max_extra_inputs: 2, min_bytes: 1, max_bytes: 2 },
+            &mut rng,
+        )
+    }
+}
+
+/// Rebuilds `graph` node by node through the public API, naming node `i`
+/// `{tag}{i}` (opaque labels follow the names), after `edit` has seen each
+/// node's op, shape and predecessors. Only input and opaque shapes are kept
+/// as edited; other shapes are re-inferred. `None` if inference rejects an
+/// edited node.
+fn rebuild(
+    graph: &Graph,
+    tag: &str,
+    mut edit: impl FnMut(usize, &mut Op, &mut TensorShape, &mut Vec<NodeId>),
+) -> Option<Graph> {
+    let mut out = Graph::new(format!("{tag}-{}", graph.name()));
+    for node in graph.nodes() {
+        let i = node.id.index();
+        let (mut op, mut shape) = (node.op.clone(), node.shape.clone());
+        let mut preds = graph.preds(node.id).to_vec();
+        edit(i, &mut op, &mut shape, &mut preds);
+        let name = format!("{tag}{i}");
+        match op {
+            Op::Input => out.add_input(name, shape),
+            Op::Opaque { .. } => out.add_opaque(name, shape.bytes(), &preds).ok()?,
+            op => out.add_named(name, op, &preds).ok()?,
+        };
+    }
+    for &o in graph.explicit_outputs() {
+        out.mark_output(o);
+    }
+    Some(out)
+}
+
+/// A renamed twin: every node name and opaque label differs.
+fn twin(graph: &Graph) -> Graph {
+    rebuild(graph, "twin", |_, _, _, _| {}).expect("an unedited rebuild infers the same shapes")
+}
+
+/// Checks that `a` and `b` encode equal exactly when they are structurally
+/// equal.
+fn encodes_like_structural_eq(a: &Graph, b: &Graph) -> bool {
+    (Structure::of(a) == Structure::of(b)) == structural_eq(a, b)
+}
+
+/// Checks that `to_graph` rebuilds a valid graph with `graph`'s structure
+/// and that it re-encodes to the same bytes.
+fn round_trips(graph: &Graph) -> bool {
+    let structure = Structure::of(graph);
+    let Ok(back) = structure.to_graph() else { return false };
+    structural_eq(&back, graph) && Structure::of(&back) == structure && back.validate().is_ok()
+}
+
+/// Decodes arbitrary bytes, which must not panic; bytes that decode must
+/// be the canonical encoding of what they decode to.
+fn decodes_canonically_or_fails(bytes: &[u8]) -> bool {
+    match Structure::from_bytes(bytes).to_graph() {
+        Ok(graph) => Structure::of(&graph).as_bytes() == bytes,
+        Err(_) => true,
+    }
+}
+
+/// The paper's nine cells and their rewritten forms: all rules, then each
+/// of the channel-wise (sliced input weights, `AccumAdd`) and kernel-wise
+/// (sliced kernels, `SlabConcat`) rules alone.
+fn suite_and_rewrites() -> Vec<Graph> {
+    use serenity_core::rewrite::Rewriter;
+    let mut graphs = Vec::new();
+    for bench in serenity_nets::suite::suite() {
+        for rewriter in [Rewriter::standard(), Rewriter::channel_only(), Rewriter::kernel_only()] {
+            let outcome = rewriter.rewrite(&bench.graph);
+            if outcome.changed() {
+                graphs.push(outcome.graph);
+            }
+        }
+        graphs.push(bench.graph);
+    }
+    graphs
+}
+
+#[test]
+fn suite_structures_follow_structural_eq() {
+    let graphs = suite_and_rewrites();
+    let ops = || graphs.iter().flat_map(|g| g.nodes().map(|n| &n.op));
+    assert!(ops().any(|op| matches!(op, Op::SlabConcat { .. })), "a kernel-wise rewrite");
+    assert!(ops().any(|op| matches!(op, Op::AccumAdd)), "a channel-wise rewrite");
+    assert!(ops().any(|op| op.weight().is_some_and(|w| w.in_slice.is_some())));
+    assert!(ops().any(|op| op.weight().is_some_and(|w| w.kernel_slice.is_some())));
+    for a in &graphs {
+        assert!(round_trips(a), "{} round-trips", a.name());
+        let renamed = twin(a);
+        assert_eq!(Structure::of(a), Structure::of(&renamed), "{} twin", a.name());
+        for b in &graphs {
+            assert!(encodes_like_structural_eq(a, b), "{} vs {}", a.name(), b.name());
+        }
+    }
+}
+
+#[test]
+fn one_changed_field_changes_a_suite_structure() {
+    for graph in suite_and_rewrites() {
+        let base = Structure::of(&graph);
+        let mut mutants = Vec::new();
+        // A dtype and a dim of the input (every shape after it follows).
+        mutants.push(rebuild(&graph, "m", |_, op, shape, _| {
+            if matches!(op, Op::Input) {
+                *shape = TensorShape::new(shape.dims().to_vec(), DType::F16);
+            }
+        }));
+        mutants.push(rebuild(&graph, "m", |_, op, shape, _| {
+            if matches!(op, Op::Input) {
+                let mut dims = shape.dims().to_vec();
+                dims[0] += 1;
+                *shape = TensorShape::new(dims, shape.dtype());
+            }
+        }));
+        // One op field per weighted node: the weight id, then each slice.
+        for k in graph.node_ids().filter(|&k| graph.node(k).op.weight().is_some()) {
+            let bump = |w: &mut serenity_ir::WeightRef| {
+                w.id = serenity_ir::WeightId::from_index(w.id.index() + 1000);
+            };
+            mutants.push(rebuild(&graph, "m", |i, op, _, _| {
+                if i == k.index() {
+                    match op {
+                        Op::Conv2d(c) => bump(&mut c.weight),
+                        Op::DepthwiseConv2d(c) => bump(&mut c.weight),
+                        Op::Dense(d) => bump(&mut d.weight),
+                        _ => unreachable!("weighted ops only"),
+                    }
+                }
+            }));
+        }
+        // An output mark on the first node.
+        let mut marked = graph.clone();
+        marked.mark_output(NodeId::from_index(0));
+        if marked.explicit_outputs() != graph.explicit_outputs() {
+            mutants.push(Some(marked));
+        }
+        let mutants: Vec<Graph> = mutants.into_iter().flatten().collect();
+        assert!(mutants.len() >= 3, "{}: dtype, dim and weight mutants", graph.name());
+        for mutant in mutants {
+            assert!(!structural_eq(&graph, &mutant), "{}: the mutant differs", graph.name());
+            assert_ne!(Structure::of(&mutant), base, "{}: one field changed", graph.name());
+        }
+    }
+}
+
+#[test]
+fn slices_and_op_tags_change_the_structure() {
+    // Two convolutions over halves of one weight, summed: the channel-wise
+    // rewrite's shape. Moving a slice or swapping an activation changes the
+    // encoding.
+    let build = |start: u32, act: Op| {
+        let mut g = Graph::new("sliced");
+        let x1 = g.add_input("x1", TensorShape::nhwc(1, 4, 4, 4, DType::F32));
+        let x2 = g.add_input("x2", TensorShape::nhwc(1, 4, 4, 4, DType::F32));
+        let w = g.fresh_weight();
+        let conv = |range: serenity_ir::ChannelRange| {
+            Op::Conv2d(serenity_ir::Conv2d {
+                out_channels: 4,
+                kernel: (1, 1),
+                stride: (1, 1),
+                padding: serenity_ir::Padding::Same,
+                dilation: (1, 1),
+                weight: w.with_in_slice(range),
+            })
+        };
+        let a = g.add(act.clone(), &[x1]).unwrap();
+        let b = g.add(act, &[x2]).unwrap();
+        let l = g.add(conv(serenity_ir::ChannelRange::new(start, start + 4)), &[a]).unwrap();
+        let r = g.add(conv(serenity_ir::ChannelRange::new(4, 8)), &[b]).unwrap();
+        let y = g.add(Op::AccumAdd, &[l, r]).unwrap();
+        g.mark_output(y);
+        g
+    };
+    let base = build(0, Op::Relu);
+    for other in [build(1, Op::Relu), build(0, Op::Sigmoid)] {
+        assert!(!structural_eq(&base, &other));
+        assert_ne!(Structure::of(&base), Structure::of(&other));
+    }
+    assert!(round_trips(&base));
 }
 
 /// Replays `order` through the `W`-word view of the graph's transition
@@ -395,5 +591,79 @@ proptest! {
             prop_assert!(all_valid);
             prop_assert_eq!(counted as usize, seen.len());
         }
+    }
+
+    #[test]
+    fn structures_are_equal_iff_structurally_equal(a in arb_tiny_graph(), b in arb_tiny_graph()) {
+        prop_assert!(encodes_like_structural_eq(&a, &b));
+    }
+
+    #[test]
+    fn renamed_and_relabeled_twins_encode_equal(graph in arb_graph()) {
+        prop_assert_eq!(Structure::of(&graph), Structure::of(&twin(&graph)));
+    }
+
+    #[test]
+    fn one_changed_field_changes_the_structure(graph in arb_graph(), pick in any::<usize>()) {
+        let k = pick % graph.len();
+        let base = Structure::of(&graph);
+        // A dim (an opaque node's byte count), then the predecessor list:
+        // reordered when it has two entries or more, else one more entry.
+        let mut mutants = vec![rebuild(&graph, "m", |i, _, shape, _| {
+            if i == k {
+                *shape = TensorShape::opaque_bytes(shape.bytes() + 1);
+            }
+        })];
+        mutants.push(rebuild(&graph, "m", |i, _, _, preds| {
+            if i == k {
+                if preds.len() >= 2 {
+                    preds.reverse();
+                } else if let Some(extra) = (0..i).map(NodeId::from_index).find(|p| !preds.contains(p)) {
+                    preds.push(extra);
+                }
+            }
+        }));
+        let mut marked = graph.clone();
+        marked.mark_output(NodeId::from_index(k));
+        mutants.push(Some(marked));
+        for mutant in mutants.into_iter().flatten() {
+            prop_assert_eq!(structural_eq(&graph, &mutant), Structure::of(&mutant) == base);
+            if !structural_eq(&graph, &mutant) {
+                prop_assert_ne!(Structure::of(&mutant), base.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn structures_round_trip(graph in arb_graph(), slabs in arb_slab_graph()) {
+        prop_assert!(round_trips(&graph));
+        prop_assert!(round_trips(&slabs));
+    }
+
+    #[test]
+    fn truncated_structures_are_rejected(graph in arb_graph()) {
+        let bytes = Structure::of(&graph).as_bytes().to_vec();
+        for cut in 0..bytes.len() {
+            prop_assert!(Structure::from_bytes(&bytes[..cut]).to_graph().is_err());
+        }
+    }
+
+    #[test]
+    fn random_bytes_decode_canonically_or_fail(
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        prop_assert!(decodes_canonically_or_fails(&bytes));
+    }
+
+    #[test]
+    fn corrupted_structures_decode_canonically_or_fail(
+        graph in arb_slab_graph(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = Structure::of(&graph).as_bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        prop_assert!(decodes_canonically_or_fails(&bytes));
     }
 }

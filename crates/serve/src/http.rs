@@ -204,7 +204,11 @@ fn read_head(stream: &mut TcpStream) -> Result<Vec<u8>, ReadError> {
     }
 }
 
-/// Writes a complete response with the given status and JSON body.
+/// Writes a complete response with the given status and JSON body, as one
+/// buffer in one `write_all`. Sent as two writes, the body would wait on a
+/// socket without `TCP_NODELAY` (Nagle) for the client's delayed ACK of the
+/// head, about 40 ms per keep-alive response; the server also sets
+/// `TCP_NODELAY` on every accepted stream.
 ///
 /// Every `503` automatically carries a `Retry-After: 1` header: the
 /// service only sheds load transiently (a full accept queue, an
@@ -223,12 +227,12 @@ pub fn write_response(
     let reason = reason_phrase(status);
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let retry_after = if status == 503 || retry_after { "retry-after: 1\r\n" } else { "" };
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {connection}\r\n{retry_after}\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

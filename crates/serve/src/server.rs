@@ -224,6 +224,10 @@ fn accept_loop(listener: &TcpListener, inner: &Inner) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Responses go out in one write each (see `write_response`); with
+        // Nagle off they leave at once instead of waiting for the client's
+        // delayed ACK. Set before the shed path below writes.
+        let _ = stream.set_nodelay(true);
         let mut queue = inner.lock_queue();
         if queue.len() >= inner.config.queue_capacity {
             drop(queue);
@@ -578,6 +582,25 @@ mod tests {
         );
         assert_eq!(status, 200, "{body}");
         // join() returning proves the acceptor and all workers exited.
+        server.join();
+    }
+
+    #[test]
+    fn keep_alive_responses_do_not_wait_for_a_delayed_ack() {
+        // Each response is one write on a socket with Nagle off: 25 health
+        // checks on one connection take a few ms. A response sent as two
+        // writes waits ~40 ms on the client's delayed ACK (~1 s for 25).
+        let server = spawn_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let started = std::time::Instant::now();
+        for _ in 0..25 {
+            let (status, _) = roundtrip(&mut stream, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+            assert_eq!(status, 200);
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(250), "25 keep-alive requests took {elapsed:?}");
+        drop(stream);
+        server.shutdown();
         server.join();
     }
 
