@@ -273,7 +273,11 @@ impl AdaptiveSoftBudget {
             }
             tau = bracket.next(tau, flag);
         }
-        Err(ScheduleError::BudgetSearchExhausted { rounds: rounds.len() })
+        total_stats.duration = started.elapsed();
+        Err(ScheduleError::BudgetSearchExhausted {
+            rounds: rounds.len(),
+            stats: Box::new(total_stats),
+        })
     }
 
     /// Runs the meta-search and falls back to the Kahn schedule when the
@@ -291,7 +295,7 @@ impl AdaptiveSoftBudget {
     ) -> Result<(BudgetSearchOutcome, bool), ScheduleError> {
         match self.search(graph) {
             Ok(outcome) => Ok((outcome, false)),
-            Err(ScheduleError::BudgetSearchExhausted { .. }) => {
+            Err(ScheduleError::BudgetSearchExhausted { stats, .. }) => {
                 let order = topo::kahn(graph);
                 let schedule = Schedule::from_order(graph, order)?;
                 let hard_budget = schedule.peak_bytes;
@@ -301,7 +305,7 @@ impl AdaptiveSoftBudget {
                         hard_budget,
                         schedule,
                         rounds: Vec::new(),
-                        total_stats: ScheduleStats::default(),
+                        total_stats: *stats,
                     },
                     true,
                 ))

@@ -236,15 +236,15 @@ impl DivideAndConquer {
                 // hard-budget (Kahn) schedule for this segment: sound, and
                 // never worse than the baseline. The boundary placeholder
                 // has id 0, so Kahn's FIFO schedules it first, satisfying
-                // the pin.
-                Err(ScheduleError::BudgetSearchExhausted { .. }) => {
+                // the pin. The failed search's counters stay on the segment.
+                Err(ScheduleError::BudgetSearchExhausted { stats, .. }) => {
                     let order = serenity_ir::topo::kahn(&segment.graph);
                     debug_assert!(
                         pinned.is_empty() || order.first() == Some(&pinned[0]),
                         "boundary placeholder must lead the fallback order"
                     );
                     let schedule = Schedule::from_order(&segment.graph, order)?;
-                    (schedule, ScheduleStats::default())
+                    (schedule, *stats)
                 }
                 Err(other) => return Err(other),
             };
@@ -336,6 +336,23 @@ mod tests {
             DivideAndConquer::new().backend(Arc::new(DpBackend::default())).schedule(&g).unwrap();
         assert!(divided.total_stats.transitions <= whole.stats.transitions);
         assert_eq!(divided.schedule.peak_bytes, whole.schedule.peak_bytes);
+    }
+
+    #[test]
+    fn an_exhausted_search_keeps_its_counters_on_the_fallback() {
+        use crate::backend::AdaptiveBackend;
+        use crate::budget::BudgetConfig;
+        // One round under a one-state cap: the probe trips the cap, the
+        // meta-search gives up, and the segment falls back to Kahn's order.
+        let g = serenity_ir::random_dag::independent_branches(6, 16);
+        let config = BudgetConfig { max_rounds: 1, max_states: Some(1), ..Default::default() };
+        let outcome = DivideAndConquer::new()
+            .backend(Arc::new(AdaptiveBackend::with_config(config)))
+            .schedule(&g)
+            .unwrap();
+        assert_eq!(outcome.schedule.order, topo::kahn(&g));
+        assert_eq!(outcome.total_stats.probes, 1, "{:?}", outcome.total_stats);
+        assert!(outcome.total_stats.transitions > 0, "{:?}", outcome.total_stats);
     }
 
     #[test]

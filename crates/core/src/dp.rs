@@ -73,13 +73,36 @@
 //! order, sharding, and incumbent-ceiling pruning of losing states cannot
 //! change it.
 //!
-//! Two §3.2 accelerations are integrated here rather than layered on top:
+//! Pruning above any bound B ≥ µ* — τ, a caller's ceiling, or a peak the
+//! search found itself, even one that tightens mid-run — cannot move the
+//! winning chain either. Every state on it peaks at or below µ* ≤ B, so by
+//! induction over the steps each keeps its exact survivor: its winning
+//! candidate's parent survives unchanged, and every candidate that remains
+//! is one the unpruned merge also saw, with the same intrinsic key. A
+//! signature whose best prefix peaks above B loses all its candidates
+//! instead, and such a signature is on no optimal chain.
+//!
+//! Three accelerations are integrated here rather than layered on top (the
+//! first two are §3.2's):
 //!
 //! * **Soft-budget pruning** — transitions whose `µ_peak` exceeds the budget
 //!   τ are discarded; with τ ≥ µ* the optimum survives (Figure 8(a)).
 //! * **Per-step timeout** — if one search step exceeds `T`, the run aborts
 //!   with [`ScheduleError::Timeout`], the signal Algorithm 2's meta-search
 //!   reacts to.
+//! * **The search's own incumbent** — at a step whose frontier holds at
+//!   least four times as many states as nodes left (and at least 128), the
+//!   frontier's best state is completed greedily (a *dive*: each step takes the ready node
+//!   with the smallest peak, then µ, then id). A dive that finishes strictly
+//!   below the current limit (τ, the caller's ceiling, or an earlier dive's
+//!   peak) is a complete order, so its peak is at least µ*: from then on
+//!   the search prunes every transition above it and skips every frontier
+//!   state above it, with τ's guarantee. On the paper's DARTS cell, τ₀ sits
+//!   17% above µ*, a dive reaches µ* mid-search, and the compile's
+//!   transitions halve. The incumbent is a local of one run, chosen by
+//!   intrinsic keys only, so serial and parallel runs dive identically; a
+//!   found incumbent also proves a solution exists, so an emptied frontier
+//!   is never blamed on it.
 //!
 //! Frontier expansion optionally fans out across threads (`threads > 1`):
 //! workers bucket candidates by signature hash into shards, shards are
@@ -100,7 +123,8 @@ use crate::{Schedule, ScheduleError, ScheduleStats};
 /// Why a transition was discarded rather than merged into the next arena.
 #[derive(Debug, Clone, Copy)]
 enum Pruned {
-    /// The peak exceeded the soft budget τ (§3.2 pruning).
+    /// The peak exceeded the soft budget τ (§3.2 pruning) or the search's
+    /// own incumbent ([`Moves::incumbent`]).
     Budget,
     /// The peak provably loses to the context's incumbent ceiling
     /// ([`BoundHandle`](crate::backend::BoundHandle)) — branch-and-bound.
@@ -211,6 +235,8 @@ trait Arena: Sized + Send + Sync {
     fn load(&self, i: usize, out: &mut Self::Sets);
     /// Appends every state of `other`.
     fn append(&mut self, other: &Self);
+    /// Removes every state, keeping the allocation.
+    fn clear(&mut self);
     /// Heap bytes the arena holds (allocated capacity, not just length).
     fn bytes(&self) -> u64;
     /// Bytes allocated when state `i` schedules `u`.
@@ -320,6 +346,10 @@ impl<const W: usize> Arena for FixedArena<W> {
 
     fn append(&mut self, other: &Self) {
         self.states.extend_from_slice(&other.states);
+    }
+
+    fn clear(&mut self) {
+        self.states.clear();
     }
 
     fn bytes(&self) -> u64 {
@@ -447,6 +477,11 @@ impl Arena for PooledArena {
     fn append(&mut self, other: &Self) {
         self.pool.extend_from_slice(&other.pool);
         self.meta.extend_from_slice(&other.meta);
+    }
+
+    fn clear(&mut self) {
+        self.pool.clear();
+        self.meta.clear();
     }
 
     fn bytes(&self) -> u64 {
@@ -650,11 +685,96 @@ struct Moves<T> {
     /// The largest running peak that can still beat the context's incumbent
     /// ceiling (`u64::MAX` without one — prunes nothing). Read once per run.
     ceiling: u64,
+    /// The peak of the best complete order a dive of this run has found
+    /// (`u64::MAX` until one finishes below the limit). It only tightens,
+    /// between steps, and is never published.
+    incumbent: u64,
+}
+
+/// The order reaching a state of step `back.len()` whose metadata is
+/// `meta`: the pinned prefix, then the nodes of its parent chain through the
+/// backtrack records (`back[0]` is the root, with a dummy node).
+fn backtrack(back: &[Vec<BackRec>], prefix: &[NodeId], meta: &StateMeta) -> Vec<NodeId> {
+    let mut order = Vec::with_capacity(prefix.len() + back.len());
+    if !back.is_empty() {
+        order.push(meta.node);
+        let mut parent = meta.parent;
+        for recs in back[1..].iter().rev() {
+            let rec = recs[parent as usize];
+            order.push(rec.node);
+            parent = rec.parent;
+        }
+    }
+    order.extend(prefix.iter().rev());
+    order.reverse();
+    order
+}
+
+/// Completes `frontier`'s best state greedily: each step schedules the
+/// ready node with the smallest `(peak after, µ after, id)`, with the
+/// arithmetic of a transition. The state is the smallest by `(peak, µ,
+/// hash, z)`, keys intrinsic to the state, so a sharded frontier (whose
+/// arena order differs) dives from the same one. Gives up as soon as the
+/// running peak reaches `limit`; otherwise returns the state, the dive's
+/// peak and the nodes it scheduled. Every evaluated node counts as a
+/// transition.
+fn dive<A: Arena>(
+    moves: &Moves<A::Table>,
+    frontier: &A,
+    limit: u64,
+    stats: &mut ScheduleStats,
+) -> Option<(usize, u64, Vec<NodeId>)> {
+    let key = |i: usize| {
+        let meta = frontier.meta(i);
+        (meta.peak, meta.mu, meta.hash, frontier.z(i))
+    };
+    let start = (0..frontier.len()).min_by(|&a, &b| key(a).cmp(&key(b)))?;
+    let StateMeta { mut peak, mut mu, .. } = *frontier.meta(start);
+    if peak >= limit {
+        return None;
+    }
+    let mut sets = frontier.scratch();
+    frontier.load(start, &mut sets);
+    let mut state = frontier.sibling(1);
+    state.push(&sets, *frontier.meta(start));
+    let mut tail = Vec::new();
+    let completed = loop {
+        let pick = wordset::iter(state.z(0))
+            .map(|u| {
+                stats.transitions += 1;
+                let after = mu + state.alloc_bytes(&moves.table, 0, u);
+                (peak.max(after), after - state.free_bytes(&moves.table, 0, u), u)
+            })
+            .min();
+        let Some((next_peak, next_mu, u)) = pick else {
+            break true;
+        };
+        if next_peak >= limit {
+            break false;
+        }
+        state.successor(&moves.table, &moves.zobrist, 0, u, &mut sets);
+        let meta = *state.meta(0);
+        state.clear();
+        state.push(&sets, meta);
+        (peak, mu) = (next_peak, next_mu);
+        tail.push(u);
+    };
+    completed.then_some((start, peak, tail))
 }
 
 const ROOT: u32 = u32::MAX;
 /// Frontier size beyond which expansion is parallelized.
 const PARALLEL_THRESHOLD: usize = 192;
+/// A step dives when its frontier holds at least this many states per node
+/// left: a dive evaluates the ready nodes of one state per node left, so it
+/// costs at most about a quarter of the step's expansion. On small
+/// frontiers a dive at every step costs more than it saves.
+const DIVE_FRONTIER_RATIO: usize = 4;
+/// The fewest states a diving step's frontier holds: a dive from a smaller
+/// frontier can save only a few hundred transitions. On the benchmark's
+/// in-process workloads this floor leaves traced transitions at or below
+/// the ratio rule's alone, and runs whose frontiers stay small never dive.
+const DIVE_MIN_FRONTIER: usize = 128;
 /// Transitions between deadline checks.
 const TIMEOUT_CHECK_MASK: u64 = 0x3FF;
 
@@ -814,12 +934,12 @@ impl DpScheduler {
         let words = table.words();
         let bound = ctx.bound();
         let ceiling = bound.map_or(u64::MAX, |b| b.max_viable_peak());
-        let moves = Moves { table: A::table(table), zobrist, auto_hash, ceiling };
+        let mut moves =
+            Moves { table: A::table(table), zobrist, auto_hash, ceiling, incumbent: u64::MAX };
         let mut frontier: A = self.root_arena(graph, &cost, &moves.zobrist, words, prefix)?;
-        if let Some(budget) = self.config.budget {
-            if frontier.meta(0).peak > budget {
-                return Err(ScheduleError::NoSolution { budget });
-            }
+        let budget = self.config.budget.unwrap_or(u64::MAX);
+        if frontier.meta(0).peak > budget {
+            return Err(ScheduleError::NoSolution { budget });
         }
         if let Some(bound) = bound.filter(|_| frontier.meta(0).peak > ceiling) {
             return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
@@ -837,6 +957,21 @@ impl DpScheduler {
 
         for step in 0..remaining {
             let step_started = Instant::now();
+            let left = remaining - step;
+            if frontier.len() >= DIVE_MIN_FRONTIER.max(DIVE_FRONTIER_RATIO * left) {
+                let limit = budget.min(ceiling).min(moves.incumbent);
+                if let Some((state, peak, tail)) = dive(&moves, &frontier, limit, stats) {
+                    debug_assert_eq!(
+                        serenity_ir::mem::peak_bytes(
+                            graph,
+                            &[backtrack(&back, prefix, frontier.meta(state)), tail].concat()
+                        ),
+                        Ok(peak),
+                        "a dive's peak must agree with the reference profiler"
+                    );
+                    moves.incumbent = peak;
+                }
+            }
             let next = if self.config.threads > 1 && frontier.len() >= PARALLEL_THRESHOLD {
                 let held = record_bytes + index.bytes();
                 self.expand_parallel(&moves, &frontier, held, step, step_started, stats, ctx)?
@@ -844,12 +979,12 @@ impl DpScheduler {
                 self.expand_serial(&moves, &frontier, &mut index, step, step_started, stats, ctx)?
             };
             if next.len() == 0 {
-                let budget = self.config.budget.unwrap_or(u64::MAX);
                 // Discriminate the two pruning regimes: when the incumbent
                 // ceiling is strictly tighter than τ, every budget-pruned
                 // state was also ceiling-prunable, so the emptiness means the
                 // incumbent stands — without the ceiling a τ-feasible
-                // schedule may still exist.
+                // schedule may still exist. (A dive's incumbent never empties
+                // the frontier: the order it found peaks at or above µ*.)
                 if let Some(bound) = bound.filter(|_| ceiling < budget) {
                     return Err(ScheduleError::BoundBeaten { bound: bound.beaten_by() });
                 }
@@ -874,21 +1009,7 @@ impl DpScheduler {
             .min_by_key(|m| m.peak)
             .expect("final arena is non-empty");
 
-        let mut order = Vec::with_capacity(n);
-        if remaining > 0 {
-            order.push(best.node);
-            let mut parent = best.parent;
-            // Walk levels remaining-1 .. 1; back[0] is the root (dummy node).
-            for recs in back[1..].iter().rev() {
-                let rec = recs[parent as usize];
-                order.push(rec.node);
-                parent = rec.parent;
-            }
-        }
-        order.extend(prefix.iter().rev());
-        order.reverse();
-
-        let schedule = Schedule { order, peak_bytes: best.peak };
+        let schedule = Schedule { order: backtrack(&back, prefix, &best), peak_bytes: best.peak };
         debug_assert_eq!(
             serenity_ir::mem::peak_bytes(graph, &schedule.order).expect("valid order"),
             schedule.peak_bytes,
@@ -963,6 +1084,9 @@ impl DpScheduler {
         let mut aborted = Ok(());
         'sweep: for si in 0..frontier.len() {
             let meta = *frontier.meta(si);
+            if meta.peak > moves.incumbent {
+                continue;
+            }
             for u in wordset::iter(frontier.z(si)) {
                 transitions += 1;
                 if transitions & TIMEOUT_CHECK_MASK == 0 {
@@ -1031,6 +1155,9 @@ impl DpScheduler {
                         let mut emitted = 0usize;
                         for si in base..end {
                             let meta = *frontier.meta(si);
+                            if meta.peak > moves.incumbent {
+                                continue;
+                            }
                             for u in wordset::iter(frontier.z(si)) {
                                 transitions += 1;
                                 if transitions & TIMEOUT_CHECK_MASK == 0 {
@@ -1135,7 +1262,10 @@ impl DpScheduler {
     /// signature. Returns the prune kind when the transition is discarded:
     /// running peaks are monotone along a schedule path, so a state whose
     /// peak already exceeds the soft budget (or the incumbent ceiling,
-    /// [`Moves::ceiling`]) can never recover.
+    /// [`Moves::ceiling`], or the search's own incumbent,
+    /// [`Moves::incumbent`]) can never recover. The checks run in that
+    /// order, so `bound_pruned` counts exactly what the caller's ceiling
+    /// cut.
     #[inline]
     fn transition<A: Arena>(
         &self,
@@ -1155,6 +1285,9 @@ impl DpScheduler {
         }
         if peak > moves.ceiling {
             return Err(Pruned::Bound);
+        }
+        if peak > moves.incumbent {
+            return Err(Pruned::Budget);
         }
         let ready = frontier.successor(&moves.table, &moves.zobrist, si, u, sets);
         let hash = meta.hash ^ moves.zobrist.key(u) ^ moves.auto_hash[u.index()] ^ ready;
@@ -1612,26 +1745,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_bound_pruning_matches_serial() {
-        use crate::backend::{BoundHandle, CompileContext};
-        // Six two-node braids (entry → aᵢ → bᵢ → exit) with skewed sizes: the
-        // frontier reaches 3⁶ = 729 states (past PARALLEL_THRESHOLD) and
-        // orders that delay freeing the big aᵢ overshoot µ*, so the sharded
-        // path runs with live bound pruning. A static seed makes the prune
-        // decisions deterministic, so counts must match serial exactly, at
-        // every thread count and with or without the bound.
+    /// `braids` two-node braids (entry → aᵢ → bᵢ → exit) with skewed sizes.
+    fn braided(braids: usize) -> Graph {
         let mut g = Graph::new("braided");
         let entry = g.add_opaque("entry", 4, &[]).unwrap();
-        let tails: Vec<_> = (0..6)
+        let tails: Vec<_> = (0..braids as u64)
             .map(|i| {
-                let a = g.add_opaque(format!("a{i}"), 10 + 17 * i as u64, &[entry]).unwrap();
-                g.add_opaque(format!("b{i}"), 3 + 2 * i as u64, &[a]).unwrap()
+                let a = g.add_opaque(format!("a{i}"), 10 + 17 * i, &[entry]).unwrap();
+                g.add_opaque(format!("b{i}"), 3 + 2 * i, &[a]).unwrap()
             })
             .collect();
         let exit = g.add_opaque("exit", 2, &tails).unwrap();
         g.mark_output(exit);
+        g
+    }
 
+    #[test]
+    fn parallel_bound_pruning_matches_serial() {
+        use crate::backend::{BoundHandle, CompileContext};
+        // Seven skewed braids: a step's frontier reaches 393 states (past
+        // PARALLEL_THRESHOLD) and orders that delay freeing the big aᵢ
+        // overshoot µ*, so the sharded path runs with live bound pruning. A
+        // static seed makes the prune decisions deterministic, so counts
+        // must match serial exactly, at every thread count and with or
+        // without the bound.
+        let g = braided(7);
         let free = DpScheduler::new().schedule(&g).unwrap();
         let bounded = CompileContext::unconstrained()
             .with_bound(Some(BoundHandle::seeded_weak(free.schedule.peak_bytes)));
@@ -1740,13 +1878,13 @@ mod tests {
 
     /// Runs `dp` on `g` through the width dispatch and through the pooled
     /// layout (and, for one-word graphs, the two-word layout too), and
-    /// asserts equal results and counters. Returns the dispatched result.
+    /// asserts equal results and counters. Returns the result and counters.
     fn assert_layouts_agree(
         dp: &DpScheduler,
         g: &Graph,
         prefix: &[NodeId],
         ctx: &CompileContext,
-    ) -> Result<Schedule, String> {
+    ) -> (Result<Schedule, String>, [u64; 5]) {
         let fixed = if g.len() <= 64 {
             let one = run_as::<FixedArena<1>>(dp, g, prefix, ctx);
             assert_eq!(one, run_as::<FixedArena<2>>(dp, g, prefix, ctx), "one vs two words");
@@ -1758,13 +1896,15 @@ mod tests {
         assert_eq!(fixed, pooled, "{} nodes, prefix {prefix:?}, {:?}", g.len(), dp.config());
         let dispatched = outcome(dp.run(g, prefix, ctx, &mut ScheduleStats::default()));
         assert_eq!(dispatched, fixed.0);
-        dispatched
+        fixed
     }
 
     /// Every layout agrees on `g` with and without a pinned prefix, at 1, 2
     /// and 4 threads: unconstrained, with τ below, at and above µ*, under a
     /// weak and a tie-winning incumbent bound, and with a state cap that
-    /// trips.
+    /// trips. Apart from the capped run (whose workers check the cap at
+    /// different points), every thread count also returns the same result
+    /// and counters.
     fn assert_layouts_agree_on(g: &Graph) {
         use crate::backend::{BoundHandle, CompileContext};
         let unconstrained = CompileContext::unconstrained();
@@ -1772,25 +1912,32 @@ mod tests {
         for prefix in [&[][..], &pinned[..]] {
             let free = DpScheduler::new().schedule_with_prefix(g, prefix).unwrap();
             let optimum = free.schedule.peak_bytes;
+            let mut serial = Vec::new();
             for threads in [1, 2, 4] {
                 let dp = DpScheduler::new().threads(threads);
-                let schedule = assert_layouts_agree(&dp, g, prefix, &unconstrained);
-                assert_eq!(schedule, Ok(free.schedule.clone()));
+                let mut runs = vec![assert_layouts_agree(&dp, g, prefix, &unconstrained)];
+                assert_eq!(runs[0].0, Ok(free.schedule.clone()));
                 for tau in [optimum - 1, optimum, optimum + optimum / 2] {
                     let budgeted = dp.clone().budget(tau);
-                    let result = assert_layouts_agree(&budgeted, g, prefix, &unconstrained);
-                    assert_eq!(result.is_ok(), tau >= optimum);
+                    runs.push(assert_layouts_agree(&budgeted, g, prefix, &unconstrained));
+                    assert_eq!(runs.last().unwrap().0.is_ok(), tau >= optimum);
                 }
                 for (bound, solves) in [
                     (BoundHandle::seeded_weak(optimum), true),
                     (BoundHandle::seeded_incumbent(optimum), false),
                 ] {
                     let ctx = CompileContext::unconstrained().with_bound(Some(bound));
-                    assert_eq!(assert_layouts_agree(&dp, g, prefix, &ctx).is_ok(), solves);
+                    runs.push(assert_layouts_agree(&dp, g, prefix, &ctx));
+                    assert_eq!(runs.last().unwrap().0.is_ok(), solves);
+                }
+                if threads == 1 {
+                    serial = runs;
+                } else {
+                    assert_eq!(runs, serial, "{threads} threads, prefix {prefix:?}");
                 }
                 // A cap of one state trips at the first branching step.
                 let capped = dp.clone().max_states(1);
-                let result = assert_layouts_agree(&capped, g, prefix, &unconstrained);
+                let (result, _) = assert_layouts_agree(&capped, g, prefix, &unconstrained);
                 assert!(result.unwrap_err().starts_with("timeout"));
             }
         }
@@ -1829,16 +1976,31 @@ mod tests {
             for threads in [1, 2, 4] {
                 let dp = DpScheduler::new().threads(threads);
                 let unconstrained = CompileContext::unconstrained();
-                assert!(assert_layouts_agree(&dp, &g, &[], &unconstrained).is_ok());
+                assert!(assert_layouts_agree(&dp, &g, &[], &unconstrained).0.is_ok());
                 let weak = CompileContext::unconstrained()
                     .with_bound(Some(BoundHandle::seeded_weak(optimum)));
-                assert!(assert_layouts_agree(&dp, &g, &[], &weak).is_ok());
+                assert!(assert_layouts_agree(&dp, &g, &[], &weak).0.is_ok());
                 let capped = dp.clone().max_states(300);
-                let result = assert_layouts_agree(&capped, &g, &[], &unconstrained);
+                let (result, _) = assert_layouts_agree(&capped, &g, &[], &unconstrained);
                 assert!(result.unwrap_err().starts_with("timeout"));
                 let tight = dp.clone().budget(optimum - 1);
-                assert!(assert_layouts_agree(&tight, &g, &[], &unconstrained).is_err());
+                assert!(assert_layouts_agree(&tight, &g, &[], &unconstrained).0.is_err());
             }
+        }
+    }
+
+    #[test]
+    fn layouts_and_threads_agree_while_the_search_finds_its_own_incumbent() {
+        // Seven skewed braids: a step's frontier reaches 393 states, past
+        // PARALLEL_THRESHOLD and the dive rule, and orders that delay
+        // freeing the big aᵢ overshoot µ*. So without τ or a ceiling the
+        // search dives, prunes above its own incumbent, and shards.
+        let g = braided(7);
+        for g in [with_tail(g.clone(), 100), g] {
+            let free = DpScheduler::new().schedule(&g).unwrap();
+            assert!(free.stats.pruned > 0, "the search's own incumbent must prune");
+            assert_eq!(free.stats.bound_pruned, 0);
+            assert_layouts_agree_on(&g);
         }
     }
 }

@@ -4,6 +4,8 @@ use std::time::Duration;
 
 use serenity_ir::GraphError;
 
+use crate::ScheduleStats;
+
 /// Errors produced by the SERENITY schedulers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -27,6 +29,9 @@ pub enum ScheduleError {
     BudgetSearchExhausted {
         /// Number of rounds attempted.
         rounds: usize,
+        /// The failed search's counters (the τ₀ beam run and every probe),
+        /// so a fallback still reports the work it cost.
+        stats: Box<ScheduleStats>,
     },
     /// The compile run's wall-clock deadline
     /// ([`CompileOptions::deadline`](crate::backend::CompileOptions))
@@ -89,7 +94,7 @@ impl fmt::Display for ScheduleError {
             ScheduleError::Timeout { step, elapsed } => {
                 write!(f, "search step {step} exceeded its time limit after {elapsed:?}")
             }
-            ScheduleError::BudgetSearchExhausted { rounds } => {
+            ScheduleError::BudgetSearchExhausted { rounds, .. } => {
                 write!(f, "adaptive soft budgeting found no solution in {rounds} rounds")
             }
             ScheduleError::DeadlineExceeded { elapsed } => {

@@ -60,9 +60,13 @@ impl Schedule {
 pub struct ScheduleStats {
     /// Distinct memoized signatures summed over all search steps.
     pub states: u64,
-    /// State expansions (schedule-one-more-node transitions) performed.
+    /// State expansions (schedule-one-more-node transitions) performed,
+    /// including the node evaluations of the DP's greedy dives (each ready
+    /// node a dive step compares counts once).
     pub transitions: u64,
-    /// Transitions discarded because their peak exceeded the soft budget.
+    /// Transitions discarded because their peak exceeded the soft budget τ
+    /// or the DP's own incumbent (the peak of a complete order one of its
+    /// dives found).
     pub pruned: u64,
     /// Budget-pruned DP probes launched by the adaptive meta-search
     /// (Algorithm 2 rounds); zero for single-shot schedulers.

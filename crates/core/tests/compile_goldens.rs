@@ -224,3 +224,23 @@ fn compiles_match_the_golden_schedules() {
         .collect();
     assert_eq!(actual, expected, "compiled schedules changed; this build compiles:\n{listing}");
 }
+
+#[test]
+fn darts_default_compile_keeps_its_schedule_in_at_most_1_2m_transitions() {
+    // τ₀ sits 17% above µ* on DARTS's rewritten segment; a dive from a wide
+    // frontier reaches µ* mid-search and prunes the rest of the probe down
+    // to µ*. Without that incumbent this compile made 1,697,899 transitions.
+    let darts = serenity_nets::suite()
+        .into_iter()
+        .find(|b| b.id == "darts-normal")
+        .expect("the suite has DARTS")
+        .graph;
+    let compiled =
+        Serenity::builder().backend(adaptive()).build().compile(&darts).expect("compiles");
+    let &(_, _, peak, _, hash) = GOLDEN
+        .iter()
+        .find(|row| row.0 == "darts-normal" && row.1 == "Default")
+        .expect("DARTS has a default row");
+    assert_eq!((compiled.peak_bytes, order_hash(&compiled.schedule.order)), (peak, hash));
+    assert!(compiled.stats.transitions <= 1_200_000, "{} transitions", compiled.stats.transitions);
+}

@@ -43,9 +43,10 @@ struct RefState {
     peak: u64,
 }
 
-/// Algorithm 1 with owned `NodeSet` memo keys and list-scan costs: the
-/// simplest implementation that could possibly be right.
-fn reference_dp(graph: &Graph) -> (u64, u64) {
+/// Algorithm 1 with owned `NodeSet` memo keys and list-scan costs, pruning
+/// transitions whose peak exceeds `budget` (§3.2): the simplest
+/// implementation that could possibly be right.
+fn reference_dp(graph: &Graph, budget: u64) -> (u64, u64) {
     let n = graph.len();
     let cost = CostModel::new(graph);
     let root_z: NodeSet = graph.node_ids().filter(|&u| graph.indegree(u) == 0).collect();
@@ -58,6 +59,9 @@ fn reference_dp(graph: &Graph) -> (u64, u64) {
             for u in z.iter() {
                 let mu_after = state.mu + cost.alloc_bytes_scan(&state.scheduled, u);
                 let peak = state.peak.max(mu_after);
+                if peak > budget {
+                    continue;
+                }
                 let mu = mu_after - cost.free_bytes_scan(&state.scheduled, u);
                 let mut scheduled = state.scheduled.clone();
                 scheduled.insert(u);
@@ -90,14 +94,22 @@ proptest! {
 
     #[test]
     fn zobrist_memo_agrees_with_content_equality_keys(graph in arb_graph()) {
-        let (ref_peak, ref_states) = reference_dp(&graph);
+        let (ref_peak, ref_states) = reference_dp(&graph, u64::MAX);
         let dp = DpScheduler::new().schedule(&graph).unwrap();
         prop_assert_eq!(dp.schedule.peak_bytes, ref_peak);
-        // Same number of memoized signatures per run: the hashed index
-        // groups exactly the states content equality groups — a collision
-        // mishandled either way would change the count.
-        prop_assert_eq!(dp.stats.states, ref_states);
         prop_assert!(topo::is_order(&graph, &dp.schedule.order));
+        // Unbudgeted, the DP may prune above a peak its own dives found, so
+        // it memoizes at most the reference's signatures.
+        prop_assert!(dp.stats.states <= ref_states, "{} > {ref_states}", dp.stats.states);
+        // At τ = µ* no dive can finish strictly below the limit, so both
+        // prune exactly the transitions above µ*. Same number of memoized
+        // signatures per run: the hashed index groups exactly the states
+        // content equality groups — a collision mishandled either way would
+        // change the count.
+        let (_, ref_states) = reference_dp(&graph, ref_peak);
+        let dp = DpScheduler::new().budget(ref_peak).schedule(&graph).unwrap();
+        prop_assert_eq!(dp.schedule.peak_bytes, ref_peak);
+        prop_assert_eq!(dp.stats.states, ref_states);
     }
 
     #[test]
