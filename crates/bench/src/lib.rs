@@ -7,7 +7,6 @@
 #![warn(missing_docs)]
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use serenity_allocator::Strategy;
 use serenity_core::backend::AdaptiveBackend;
@@ -15,23 +14,10 @@ use serenity_core::budget::BudgetConfig;
 use serenity_core::pipeline::{RewriteMode, Serenity};
 use serenity_ir::{topo, Graph};
 
-/// Step time limit used by all harness runs (`T` of Algorithm 2).
-pub fn step_timeout() -> Duration {
-    if cfg!(debug_assertions) {
-        Duration::from_secs(5)
-    } else {
-        Duration::from_millis(500)
-    }
-}
-
-/// The harness's standard budget configuration.
+/// The harness's standard budget configuration: the default per-step state
+/// cap, with four expansion threads.
 pub fn budget_config() -> BudgetConfig {
-    BudgetConfig {
-        step_timeout: step_timeout(),
-        max_rounds: 24,
-        threads: 4,
-        max_states: Some(4_000_000),
-    }
+    BudgetConfig { threads: 4, ..BudgetConfig::default() }
 }
 
 /// The SERENITY compiler in the paper's "DP + memory allocator" or

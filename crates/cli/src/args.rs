@@ -3,7 +3,6 @@
 
 use serenity_allocator::Strategy;
 use serenity_core::capacity::{CapacityObjective, CapacityTarget};
-use serenity_core::AdmissionPolicy;
 use serenity_memsim::Policy;
 
 /// Usage text printed on parse errors and `--help`.
@@ -60,10 +59,6 @@ usage:
                               default adaptive)
       --cache-bytes <N>       byte budget of the shared compile cache
                               (default 64 MiB)
-      --admission <lru|tinylfu>
-                              cache admission policy (default lru; tinylfu
-                              protects the hot working set from one-shot
-                              request floods)
       --persist <DIR>         warm-load the cache from DIR at startup and
                               save it there on POST /persist or shutdown
       --deadline-ms <N>       default compile deadline applied to requests
@@ -156,8 +151,6 @@ pub enum Command {
         scheduler: Option<String>,
         /// Compile-cache byte budget (`None` = default 64 MiB).
         cache_bytes: Option<u64>,
-        /// Cache admission policy.
-        admission: AdmissionPolicy,
         /// Cache persistence directory (disabled when absent).
         persist: Option<String>,
         /// Default compile deadline in milliseconds for requests without
@@ -391,7 +384,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut queue = 64usize;
             let mut scheduler = None;
             let mut cache_bytes = None;
-            let mut admission = AdmissionPolicy::Lru;
             let mut persist = None;
             let mut deadline_ms = None;
             let mut max_body_bytes = None;
@@ -418,15 +410,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--persist" => {
                         persist =
                             Some(it.next().ok_or("serve: --persist needs a path")?.to_owned());
-                    }
-                    "--admission" => {
-                        admission = match it.next().ok_or("serve: --admission needs a value")? {
-                            "lru" => AdmissionPolicy::Lru,
-                            "tinylfu" => AdmissionPolicy::TinyLfu,
-                            other => {
-                                return Err(format!("serve: unknown admission policy {other}"))
-                            }
-                        };
                     }
                     "--threads" => {
                         let raw = it.next().ok_or("serve: --threads needs a value")?;
@@ -492,7 +475,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 queue,
                 scheduler,
                 cache_bytes,
-                admission,
                 persist,
                 deadline_ms,
                 max_body_bytes,
@@ -697,7 +679,6 @@ mod tests {
                 queue: 64,
                 scheduler: None,
                 cache_bytes: None,
-                admission: AdmissionPolicy::Lru,
                 persist: None,
                 deadline_ms: None,
                 max_body_bytes: None,
@@ -709,7 +690,7 @@ mod tests {
         );
         let cmd = parse(&args(
             "serve --addr 0.0.0.0:0 --threads 8 --queue 16 --scheduler dp \
-             --cache-bytes 1048576 --admission tinylfu \
+             --cache-bytes 1048576 \
              --persist /tmp/cache --deadline-ms 500 --max-body-bytes 4096 \
              --allow-shutdown --fault-plan compile-panic=2 --degrade beam,kahn \
              --search-budget-bytes 16777216",
@@ -723,7 +704,6 @@ mod tests {
                 queue: 16,
                 scheduler: Some("dp".into()),
                 cache_bytes: Some(1_048_576),
-                admission: AdmissionPolicy::TinyLfu,
                 persist: Some("/tmp/cache".into()),
                 deadline_ms: Some(500),
                 max_body_bytes: Some(4096),
@@ -740,7 +720,6 @@ mod tests {
         assert!(parse(&args("serve --threads 0")).is_err());
         assert!(parse(&args("serve --portfolio-threads 2")).is_err(), "the flag is gone");
         assert!(parse(&args("serve --queue 0")).is_err());
-        assert!(parse(&args("serve --admission random")).is_err());
         assert!(parse(&args("serve --cache-bytes 0")).is_err());
         assert!(parse(&args("serve --deadline-ms soon")).is_err());
         assert!(parse(&args("serve --fault-plan")).is_err());

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use serenity_core::backend::{AdaptiveBackend, CompileEvent, DpBackend, SchedulerBackend};
 use serenity_core::budget::BudgetConfig;
-use serenity_core::cache::{AdmissionPolicy, CompileCache, CompileCacheConfig};
+use serenity_core::cache::{CompileCache, CompileCacheConfig};
 use serenity_core::dp::DpConfig;
 use serenity_core::pipeline::{RewriteMode, Serenity};
 use serenity_core::registry::BackendRegistry;
@@ -66,7 +66,6 @@ pub fn run(command: Command) -> Result<(), String> {
             queue,
             scheduler,
             cache_bytes,
-            admission,
             persist,
             deadline_ms,
             max_body_bytes,
@@ -80,7 +79,6 @@ pub fn run(command: Command) -> Result<(), String> {
             queue,
             scheduler,
             cache_bytes,
-            admission,
             persist,
             deadline_ms,
             max_body_bytes,
@@ -407,7 +405,6 @@ fn schedule(paths: &[String], options: ScheduleOptions) -> Result<(), String> {
                     "hit_rate": s.hit_rate(),
                     "insertions": s.insertions,
                     "evictions": s.evictions,
-                    "rejected_admissions": s.rejected_admissions,
                     "entries": s.entries,
                     "entry_bytes": s.entry_bytes,
                     "budget_bytes": s.budget_bytes,
@@ -548,7 +545,6 @@ struct ServeOptions {
     queue: usize,
     scheduler: Option<String>,
     cache_bytes: Option<u64>,
-    admission: AdmissionPolicy,
     persist: Option<String>,
     deadline_ms: Option<u64>,
     max_body_bytes: Option<u64>,
@@ -610,7 +606,6 @@ fn serve(options: ServeOptions) -> Result<(), String> {
     let fallback = degradation_ladder(options.degrade.as_deref())?;
     let cache_config = CompileCacheConfig {
         max_bytes: options.cache_bytes.unwrap_or(CompileCacheConfig::default().max_bytes),
-        admission: options.admission,
         ..CompileCacheConfig::default()
     };
     let cache = Arc::new(CompileCache::with_config(cache_config));

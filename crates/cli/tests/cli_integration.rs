@@ -325,7 +325,6 @@ fn batch_schedule_shares_the_compile_cache() {
         "JSON cache footer must report the hit rate: {report:?}"
     );
     assert!(report["cache"]["insertions"].as_u64().unwrap() > 0);
-    assert_eq!(report["cache"]["rejected_admissions"].as_u64(), Some(0));
 
     // --cache-bytes 0 disables caching (and the summary shows no cache).
     let out = serenity(&["schedule", a_str, b_str, "--cache-bytes", "0", "--json"]);

@@ -362,9 +362,8 @@ pub struct CompileOptions {
     /// [`DivideAndConquer`](crate::divide::DivideAndConquer) (which the
     /// pipeline and the rewrite search schedule through) — not by raw
     /// backends, so `backend.schedule(graph, &ctx)` alone never caches.
-    /// For deterministic backends, cached results are bit-identical to
-    /// uncached ones; see the [`crate::cache`] module docs for the caveat
-    /// on timing-adaptive configurations.
+    /// Every backend is deterministic, so cached results are bit-identical
+    /// to uncached ones (see the [`crate::cache`] module docs).
     pub cache: Option<Arc<CompileCache>>,
     /// Armed fault-injection plan (`None` in production). Consulted by
     /// the compile pipeline at its named injection points; see
@@ -736,14 +735,13 @@ impl SchedulerBackend for DpBackend {
         "dp"
     }
 
-    /// Everything result-affecting: budget τ, per-step timeout, and the
-    /// state cap (both abort behaviors are observable). `threads` is
-    /// excluded — parallel expansion is bit-identical to serial by
-    /// construction (PR 2), so thread counts share cache entries.
+    /// Everything result-affecting: budget τ and the state cap (its abort
+    /// is observable). `threads` is excluded — parallel expansion is
+    /// bit-identical to serial by construction, the cap included, so
+    /// thread counts share cache entries.
     fn config_fingerprint(&self) -> u64 {
-        let mut parts = Vec::with_capacity(6);
+        let mut parts = Vec::with_capacity(4);
         parts.extend(opt_part(self.config.budget));
-        parts.extend(opt_part(self.config.step_timeout.map(|d| d.as_nanos() as u64)));
         parts.extend(opt_part(self.config.max_states.map(|n| n as u64)));
         config_fingerprint_of(self.name(), &parts)
     }
@@ -786,11 +784,10 @@ impl SchedulerBackend for AdaptiveBackend {
         "adaptive"
     }
 
-    /// Step timeout, round cap, and state cap all shape which budget the
-    /// meta-search settles on; `threads` is excluded (wall-clock only).
+    /// The round cap and the state cap shape which budget the meta-search
+    /// settles on; `threads` is excluded (wall-clock only).
     fn config_fingerprint(&self) -> u64 {
-        let mut parts =
-            vec![self.config.step_timeout.as_nanos() as u64, self.config.max_rounds as u64];
+        let mut parts = vec![self.config.max_rounds as u64];
         parts.extend(opt_part(self.config.max_states.map(|n| n as u64)));
         config_fingerprint_of(self.name(), &parts)
     }

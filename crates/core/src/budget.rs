@@ -14,8 +14,16 @@
 //! * `'solution'` ⇒ done — and because pruning with τ ≥ µ* preserves the
 //!   optimum, the returned schedule is *the* optimal schedule.
 //!
-//! Two deviations from Algorithm 2:
+//! Three deviations from Algorithm 2:
 //!
+//! * **A state cap for `T`.** Algorithm 2's per-step time limit `T` is a
+//!   per-step state cap here ([`BudgetConfig::max_states`], 2^20 states by
+//!   default): a probe times out when one step's merged frontier outgrows
+//!   it. A count, unlike a clock, makes every probe's flag — and so the
+//!   search's answer — a function of the graph alone, on any host, at any
+//!   thread count and under any load. The cap sits far above every step
+//!   the benchmark cells take (the widest holds fewer than 2^16 states), so
+//!   it stops only probes whose frontiers are an order of magnitude wider.
 //! * **A tighter start.** The first probe runs at
 //!   `τ₀ = min(Kahn peak, width-16 beam peak)`, both taken with the pinned
 //!   prefix hoisted to the front. On channel-partitioned concat graphs the
@@ -34,7 +42,7 @@
 //!   (`τ_old ← τ_new`) drops back below a budget that has already failed
 //!   after two `'no solution'` rounds in a row.
 //!
-//! Neither deviation can change a schedule. τ₀ is the peak of a valid
+//! The last two deviations cannot change a schedule. τ₀ is the peak of a valid
 //! pinned order, so τ₀ ≥ µ*; every probe that returns a solution ran at
 //! some τ ≥ µ*, where every state on an optimal path survives pruning, and
 //! the DP's intrinsic equal-peak tie-break makes each survivor independent
@@ -42,11 +50,13 @@
 //! unbudgeted DP. The deviations change only how many probes it takes.
 //!
 //! Two safeguards beyond the paper: the search never drops τ below the
-//! provable lower bound `LB = max_v(bytes(v) + Σ bytes(preds(v)))`, and a
-//! round limit turns pathological cases into
-//! [`ScheduleError::BudgetSearchExhausted`] with the Kahn fallback exposed.
+//! provable lower bound `LB = max_v(bytes(v) + Σ bytes(preds(v)))`, and it
+//! gives up with [`ScheduleError::BudgetSearchExhausted`] (the Kahn
+//! fallback exposed) after a round limit, or as soon as the bracket would
+//! repeat a failed probe unchanged: probes are deterministic, so it would
+//! fail again.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use serenity_ir::{mem, topo, Graph};
@@ -66,7 +76,8 @@ pub enum RoundFlag {
     Solution,
     /// Every path was pruned: the budget is below µ*.
     NoSolution,
-    /// A search step exceeded the per-step time limit `T`.
+    /// A search step's frontier outgrew the per-step state cap (the
+    /// deterministic stand-in for Algorithm 2's time limit `T`).
     Timeout,
 }
 
@@ -99,27 +110,27 @@ pub struct BudgetSearchOutcome {
     pub total_stats: ScheduleStats,
 }
 
+/// The default per-step state cap. The widest merged step of any benchmark
+/// or golden compile holds 58,806 states, and the solving probe of a 32-node
+/// sum RandWire cell (8×8×8, seed 1) needs 668,058; at 2^19 that cell falls
+/// back to its Kahn order.
+const DEFAULT_MAX_STATES: usize = 1 << 20;
+
 /// Configuration of [`AdaptiveSoftBudget`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetConfig {
-    /// Per-search-step time limit `T` handed to each DP run.
-    pub step_timeout: Duration,
     /// Maximum number of meta-search rounds before giving up.
     pub max_rounds: usize,
     /// Worker threads per DP run.
     pub threads: usize,
-    /// Per-step state cap handed to each DP run (`None` = unlimited).
+    /// Per-step state cap handed to each DP run, Algorithm 2's `T`
+    /// (`None` = unlimited: no probe ever times out). Default 2^20.
     pub max_states: Option<usize>,
 }
 
 impl Default for BudgetConfig {
     fn default() -> Self {
-        BudgetConfig {
-            step_timeout: Duration::from_secs(1),
-            max_rounds: 24,
-            threads: 1,
-            max_states: None,
-        }
+        BudgetConfig { max_rounds: 24, threads: 1, max_states: Some(DEFAULT_MAX_STATES) }
     }
 }
 
@@ -155,12 +166,6 @@ impl AdaptiveSoftBudget {
         AdaptiveSoftBudget { config }
     }
 
-    /// Sets the per-search-step time limit `T`.
-    pub fn step_timeout(mut self, limit: Duration) -> Self {
-        self.config.step_timeout = limit;
-        self
-    }
-
     /// Sets the round limit.
     pub fn max_rounds(mut self, rounds: usize) -> Self {
         self.config.max_rounds = rounds;
@@ -189,7 +194,8 @@ impl AdaptiveSoftBudget {
     /// # Errors
     ///
     /// * [`ScheduleError::BudgetSearchExhausted`] if no round produced a
-    ///   solution within the round limit (use
+    ///   solution within the round limit, or the bracket would repeat a
+    ///   timed-out probe (use
     ///   [`AdaptiveSoftBudget::search_or_fallback`] for the Kahn fallback).
     /// * [`ScheduleError::Graph`] if the graph is malformed.
     pub fn search(&self, graph: &Graph) -> Result<BudgetSearchOutcome, ScheduleError> {
@@ -271,7 +277,10 @@ impl AdaptiveSoftBudget {
                     total_stats,
                 });
             }
-            tau = bracket.next(tau, flag);
+            match bracket.next(tau, flag) {
+                Some(next) => tau = next,
+                None => break,
+            }
         }
         total_stats.duration = started.elapsed();
         Err(ScheduleError::BudgetSearchExhausted {
@@ -280,8 +289,8 @@ impl AdaptiveSoftBudget {
         })
     }
 
-    /// Runs the meta-search and falls back to the Kahn schedule when the
-    /// round limit is exhausted (the budget-pruned DP never did better than
+    /// Runs the meta-search and falls back to the Kahn schedule when it is
+    /// exhausted (the budget-pruned DP never did better than
     /// `τ_max`, so the Kahn schedule is a sound, if suboptimal, answer).
     ///
     /// Returns the outcome and whether the fallback was taken.
@@ -315,10 +324,7 @@ impl AdaptiveSoftBudget {
     }
 
     fn dp_for(&self, budget: u64) -> DpScheduler {
-        let mut dp = DpScheduler::new()
-            .budget(budget)
-            .step_timeout(self.config.step_timeout)
-            .threads(self.config.threads.max(1));
+        let mut dp = DpScheduler::new().budget(budget).threads(self.config.threads.max(1));
         if let Some(max) = self.config.max_states {
             dp = dp.max_states(max);
         }
@@ -341,8 +347,11 @@ struct Bracket {
 
 impl Bracket {
     /// The budget to probe after a round at `tau` ended with `flag`
-    /// (`'timeout'` or `'no solution'`).
-    fn next(&mut self, tau: u64, flag: RoundFlag) -> u64 {
+    /// (`'timeout'` or `'no solution'`), or `None` at a fixed point: a
+    /// timeout that hands `tau` back (at LB, or at the escalation target of
+    /// a collapsed bracket) leaves the bracket as it was, and the repeated
+    /// probe would time out again.
+    fn next(&mut self, tau: u64, flag: RoundFlag) -> Option<u64> {
         let next = match flag {
             RoundFlag::Timeout => {
                 self.ceiling = self.ceiling.min(tau);
@@ -354,16 +363,18 @@ impl Bracket {
             }
             RoundFlag::Solution => unreachable!("a solution ends the search"),
         };
-        let Some(floor) = self.floor else { return next };
-        if next > floor {
-            return next;
-        }
-        // Never at or below a failed budget: bisect the bracket, or, once it
-        // has collapsed, escalate toward τ₀ as Algorithm 2 does.
-        [midpoint(floor, self.ceiling), midpoint(floor, self.start)]
-            .into_iter()
-            .find(|&t| t > floor)
-            .unwrap_or(self.start)
+        let next = match self.floor {
+            // Never at or below a failed budget: bisect the bracket, or,
+            // once it has collapsed, escalate toward τ₀ as Algorithm 2 does.
+            Some(floor) if next <= floor => {
+                [midpoint(floor, self.ceiling), midpoint(floor, self.start)]
+                    .into_iter()
+                    .find(|&t| t > floor)
+                    .unwrap_or(self.start)
+            }
+            _ => next,
+        };
+        (next != tau).then_some(next)
     }
 }
 
@@ -407,29 +418,35 @@ mod tests {
     #[test]
     fn timeout_escalation_reaches_solution() {
         use rand::SeedableRng;
-        // A modest random DAG with a (deliberately generous) step budget: the
-        // search should converge without exhausting rounds.
+        // A modest random DAG under a state cap its loose first probe
+        // outgrows: the search halves τ and still converges on the optimum
+        // without exhausting rounds.
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let g = random_dag(
             &RandomDagConfig { nodes: 24, edge_prob: 0.2, ..Default::default() },
             &mut rng,
         );
-        let outcome =
-            AdaptiveSoftBudget::new().step_timeout(Duration::from_millis(500)).search(&g).unwrap();
+        let outcome = AdaptiveSoftBudget::new().max_states(128).search(&g).unwrap();
+        assert_eq!(outcome.rounds[0].flag, RoundFlag::Timeout, "{:?}", outcome.rounds);
         let optimal = DpScheduler::new().schedule(&g).unwrap().schedule.peak_bytes;
         assert_eq!(outcome.schedule.peak_bytes, optimal);
     }
 
     #[test]
     fn state_cap_forces_fallback() {
-        // With an absurdly small state cap every round times out, exhausting
-        // the search; the fallback returns the Kahn schedule.
+        // With an absurdly small state cap every round times out, and τ
+        // halves down to LB, where a timeout is a fixed point: the search
+        // ends there, before its round limit, and the fallback returns the
+        // Kahn schedule that exhausting the rounds would return.
         let g = independent_branches(12, 8);
-        let search = AdaptiveSoftBudget::new().max_states(2).max_rounds(4);
-        assert!(matches!(search.search(&g), Err(ScheduleError::BudgetSearchExhausted { .. })));
+        let search = AdaptiveSoftBudget::new().max_states(2);
+        let err = search.search(&g).unwrap_err();
+        let ScheduleError::BudgetSearchExhausted { rounds, stats } = err else { panic!("{err}") };
+        assert!(rounds < search.config().max_rounds, "{rounds} rounds");
+        assert_eq!(stats.probes, rounds as u64);
         let (outcome, fell_back) = search.search_or_fallback(&g).unwrap();
         assert!(fell_back);
-        assert_eq!(outcome.schedule.order.len(), g.len());
+        assert_eq!(outcome.schedule.order, topo::kahn(&g));
     }
 
     #[test]
@@ -483,21 +500,29 @@ mod tests {
         use RoundFlag::{NoSolution, Timeout};
         let mut bracket = Bracket { floor: None, ceiling: 800, start: 800, lower_bound: 100 };
         // Timeouts halve, as in Algorithm 2, down to the lower bound.
-        assert_eq!(bracket.next(800, Timeout), 400);
-        assert_eq!(bracket.next(400, Timeout), 200);
-        assert_eq!(bracket.next(200, Timeout), 100);
+        assert_eq!(bracket.next(800, Timeout), Some(400));
+        assert_eq!(bracket.next(400, Timeout), Some(200));
+        assert_eq!(bracket.next(200, Timeout), Some(100));
         // 'no solution' bisects toward the lowest timed-out budget; after two
         // in a row the literal rule would drop back to 125, below 150.
-        assert_eq!(bracket.next(100, NoSolution), 150);
-        assert_eq!(bracket.next(150, NoSolution), 175);
+        assert_eq!(bracket.next(100, NoSolution), Some(150));
+        assert_eq!(bracket.next(150, NoSolution), Some(175));
         // A halving that would land on a failed budget bisects the bracket.
-        assert_eq!(bracket.next(175, Timeout), 162);
-        assert_eq!(bracket.next(162, NoSolution), 168);
-        // A collapsed bracket escalates toward τ₀, and then to τ₀ itself.
-        let mut collapsed = Bracket { floor: Some(173), ceiling: 175, start: 800, lower_bound: 1 };
-        assert_eq!(collapsed.next(174, NoSolution), 487);
+        assert_eq!(bracket.next(175, Timeout), Some(162));
+        assert_eq!(bracket.next(162, NoSolution), Some(168));
+        // A collapsed bracket escalates toward τ₀. A timeout there would
+        // escalate to the same budget again, a fixed point: the search ends.
+        let mut collapsed = Bracket { floor: Some(173), ceiling: 175, start: 300, lower_bound: 1 };
+        assert_eq!(collapsed.next(174, NoSolution), Some(237));
+        assert_eq!(collapsed.next(237, Timeout), None);
+        // Once the bisection toward τ₀ collapses too, it escalates to τ₀
+        // itself, and a timeout there is a fixed point as well.
         let mut collapsed = Bracket { floor: None, ceiling: 11, start: 11, lower_bound: 1 };
-        assert_eq!(collapsed.next(10, NoSolution), 11);
+        assert_eq!(collapsed.next(10, NoSolution), Some(11));
+        assert_eq!(collapsed.next(11, Timeout), None);
+        // So is a timeout at the lower bound, which halving cannot leave.
+        let mut floored = Bracket { floor: None, ceiling: 800, start: 800, lower_bound: 100 };
+        assert_eq!(floored.next(100, Timeout), None);
     }
 
     #[test]

@@ -41,25 +41,13 @@
 //! is confirmed by the backend key, the prefix and byte equality of the
 //! [`Structure`] before a stored schedule is replayed — a collision
 //! degrades to a miss, never to a wrong schedule. And because every backend
-//! is a deterministic function of the (structural) graph, a replayed
+//! is a deterministic function of the (structural) graph — none reads a
+//! clock: `adaptive` times a probe out on a per-step state cap, and a
+//! deadline aborts a search without changing what it returns — a replayed
 //! schedule is bit-identical to what a fresh search would have produced:
 //! **warm compiles equal cold compiles**, byte for byte. That invariant is
 //! what makes sharing one cache across threads and requests safe — a hit
 //! can change *when* an answer arrives, never *what* it is.
-//!
-//! One honest caveat: backend determinism is a *per-configuration
-//! assumption*, not a law of nature. A timing-adaptive configuration — the
-//! `adaptive` meta-search, or DP with a `step_timeout` — reacts to rounds
-//! timing out, and whether a round times out depends on machine load, not
-//! only on the graph. The repo-wide assumption (enforced by the backend
-//! conformance suite) is that the configured timeouts are generous enough
-//! that runs behave identically across invocations; under that assumption
-//! the bit-identical invariant holds. If a timeout *does* race, the cache
-//! pins whichever schedule was computed first, so all later requests stay
-//! mutually consistent — replays can never diverge from each other, only
-//! (in that race) from what a fresh search on a differently-loaded machine
-//! might have found. Workloads that cannot tolerate this should cache only
-//! timeout-free configurations (plain `dp`, `beam`, the baselines).
 //!
 //! # Example
 //!
@@ -97,11 +85,7 @@
 //! The cache is sharded: each shard owns an independent `Mutex`, entries
 //! are routed by key hash, and no operation ever holds more than one shard
 //! lock — so there is no lock-ordering and no possibility of deadlock
-//! between concurrent compiles. (Under [`AdmissionPolicy::TinyLfu`] an
-//! insert additionally takes the frequency-sketch lock while holding its
-//! shard lock; the sketch lock is a leaf — no code path acquires a shard
-//! lock while holding it — so the ordering stays acyclic.) Shard locks
-//! also recover from poisoning
+//! between concurrent compiles. Shard locks also recover from poisoning
 //! (a thread that panicked mid-operation leaves behind, at worst, a
 //! consistent-but-partial shard; every entry is still confirmed
 //! by its structure on hit), so one panicking compile cannot take the cache
@@ -122,28 +106,6 @@ use serenity_ir::{Graph, NodeId};
 use crate::fault::{FaultPlan, FaultPoint};
 use crate::Schedule;
 
-/// How a [`CompileCache`] decides what to keep when the byte budget is
-/// exceeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum AdmissionPolicy {
-    /// Always admit; evict least-recently-used entries to make room. The
-    /// right default for batch compiles, where every graph is compiled a
-    /// bounded number of times and recency is the only signal available.
-    #[default]
-    Lru,
-    /// TinyLFU-style frequency-aware admission (Einziger et al., 2017): a
-    /// compact count-min sketch estimates how often each key has been
-    /// *asked for*; when admitting a new entry would evict a victim whose
-    /// estimated frequency is at least the newcomer's, the newcomer is
-    /// dropped instead. One-shot request floods — an adversarial client
-    /// spraying unique graphs, or an honest but diverse cold sweep —
-    /// therefore cannot evict the hot working set of a long-running
-    /// compile service, because each flood key has frequency 1 while the
-    /// working set has been looked up repeatedly.
-    TinyLfu,
-}
-
 /// Construction knobs of a [`CompileCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileCacheConfig {
@@ -160,21 +122,14 @@ pub struct CompileCacheConfig {
     /// contention between concurrent compiles but a coarser (per-shard)
     /// LRU horizon. Clamped to at least 1.
     pub shards: usize,
-    /// What to do when an insert would exceed the budget (see
-    /// [`AdmissionPolicy`]).
-    pub admission: AdmissionPolicy,
 }
 
 impl Default for CompileCacheConfig {
-    /// 64 MiB across 16 shards with plain LRU admission: comfortably holds
-    /// every segment of the benchmark suite many times over while staying
-    /// irrelevant next to a compile service's working set.
+    /// 64 MiB across 16 shards: comfortably holds every segment of the
+    /// benchmark suite many times over while staying irrelevant next to a
+    /// compile service's working set.
     fn default() -> Self {
-        CompileCacheConfig {
-            max_bytes: 64 * 1024 * 1024,
-            shards: 16,
-            admission: AdmissionPolicy::Lru,
-        }
+        CompileCacheConfig { max_bytes: 64 * 1024 * 1024, shards: 16 }
     }
 }
 
@@ -190,10 +145,6 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
-    /// Insert attempts dropped by [`AdmissionPolicy::TinyLfu`] because the
-    /// would-be victim was estimated more frequent than the newcomer
-    /// (always 0 under [`AdmissionPolicy::Lru`]).
-    pub rejected_admissions: u64,
     /// Entries currently resident.
     pub entries: usize,
     /// Bytes resident entries hold: each entry's structure encoding,
@@ -254,104 +205,18 @@ struct Shard {
     bytes: u64,
 }
 
-/// A count-min sketch of key request frequencies, the estimator behind
-/// [`AdmissionPolicy::TinyLfu`].
-///
-/// Four rows of byte counters; a key increments the minimum of its four
-/// row slots (conservative update), and an estimate reads their minimum —
-/// so estimates only ever *over*-count, and only when all four slots
-/// collide with hotter keys. Counters saturate at [`Self::CAP`] and all
-/// halve once [`Self::sample`] increments have accumulated, so the sketch
-/// tracks recent popularity rather than all-time totals (the "aging" that
-/// makes TinyLFU adapt when the working set shifts).
-struct FrequencySketch {
-    rows: Vec<Vec<u8>>,
-    mask: u64,
-    /// Increments since the last halving.
-    ops: u64,
-    /// Halve all counters after this many increments.
-    sample: u64,
-}
-
-impl FrequencySketch {
-    const ROWS: usize = 4;
-    /// Counter saturation point. 15 (a 4-bit counter, as in the paper's
-    /// implementations) is plenty: admission only compares counters, and
-    /// past 15 both contenders are simply "hot".
-    const CAP: u8 = 15;
-
-    /// A sketch with `width` counters per row (rounded up to a power of
-    /// two).
-    fn new(width: usize) -> Self {
-        let width = width.next_power_of_two().max(64);
-        FrequencySketch {
-            rows: (0..Self::ROWS).map(|_| vec![0u8; width]).collect(),
-            mask: width as u64 - 1,
-            ops: 0,
-            sample: 10 * width as u64,
-        }
-    }
-
-    /// The slot of `key` in `row` (independent splitmix64-style hashes).
-    fn slot(&self, row: usize, key: u64) -> usize {
-        let mut z = key.wrapping_add((row as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) & self.mask) as usize
-    }
-
-    /// Records one request for `key`.
-    fn increment(&mut self, key: u64) {
-        let slots: Vec<usize> = (0..Self::ROWS).map(|r| self.slot(r, key)).collect();
-        let current = self.estimate(key);
-        if current < Self::CAP {
-            for (row, &slot) in self.rows.iter_mut().zip(&slots) {
-                // Conservative update: only the minimal counters move, so
-                // colliding hot keys inflate cold estimates as little as
-                // possible.
-                if row[slot] == current {
-                    row[slot] += 1;
-                }
-            }
-        }
-        self.ops += 1;
-        if self.ops >= self.sample {
-            self.age();
-        }
-    }
-
-    /// Estimated request count of `key` (an upper bound).
-    fn estimate(&self, key: u64) -> u8 {
-        (0..Self::ROWS).map(|r| self.rows[r][self.slot(r, key)]).min().unwrap_or(0)
-    }
-
-    /// Halves every counter, forgetting half of history.
-    fn age(&mut self) {
-        for row in &mut self.rows {
-            for c in row.iter_mut() {
-                *c >>= 1;
-            }
-        }
-        self.ops /= 2;
-    }
-}
-
 /// The process-wide, thread-safe schedule cache (see the module docs).
 pub struct CompileCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard slice of [`CompileCacheConfig::max_bytes`].
     shard_budget: u64,
     budget_bytes: u64,
-    /// Frequency sketch backing [`AdmissionPolicy::TinyLfu`]; `None` under
-    /// plain LRU (no per-lookup overhead when the policy is off).
-    sketch: Option<Mutex<FrequencySketch>>,
     /// Monotonic LRU clock, bumped on every hit and admission.
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    rejected: AtomicU64,
     /// Armed fault-injection plan for the persistence paths (test-only;
     /// see [`crate::fault`]).
     fault: Mutex<Option<Arc<FaultPlan>>>,
@@ -402,28 +267,15 @@ impl CompileCache {
     /// A cache with the given configuration.
     pub fn with_config(config: CompileCacheConfig) -> Self {
         let shards = config.shards.max(1);
-        let sketch = match config.admission {
-            AdmissionPolicy::Lru => None,
-            // Width scales with how many entries could plausibly be
-            // resident (budget / a small-entry floor), so sketch collisions
-            // stay rare at any configured size; the floor of 64 per row and
-            // 8 KiB total keeps tiny test caches functional.
-            AdmissionPolicy::TinyLfu => {
-                let width = (config.max_bytes / 512).clamp(64, 64 * 1024) as usize;
-                Some(Mutex::new(FrequencySketch::new(width)))
-            }
-        };
         CompileCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_budget: config.max_bytes / shards as u64,
             budget_bytes: config.max_bytes,
-            sketch,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             fault: Mutex::new(None),
         }
     }
@@ -468,7 +320,6 @@ impl CompileCache {
         prefix: &[NodeId],
     ) -> Option<Schedule> {
         let key = mixed_key(backend_key, graph_key);
-        self.record_request(key);
         let found = {
             let mut shard = self.shard_for(key);
             shard.buckets.get_mut(&key).and_then(|bucket| {
@@ -490,25 +341,13 @@ impl CompileCache {
         }
     }
 
-    /// Records one request for `key` in the frequency sketch (no-op under
-    /// [`AdmissionPolicy::Lru`]). The sketch lock recovers from poisoning
-    /// like the shard locks: counters are advisory, a torn update at worst
-    /// skews one admission decision.
-    fn record_request(&self, key: u64) {
-        if let Some(sketch) = &self.sketch {
-            sketch.lock().unwrap_or_else(PoisonError::into_inner).increment(key);
-        }
-    }
-
     /// Stores `schedule` (produced by backend `backend_key` under pinned
     /// `prefix`) for the graph with this `structure` under `graph_key`.
     /// First write wins — all backends are deterministic, so a duplicate
     /// insert carries an identical schedule anyway. Admission may evict
     /// least-recently-used entries of the target shard to stay under the
     /// byte budget; an entry larger than one shard's whole budget is not
-    /// admitted. Under
-    /// [`AdmissionPolicy::TinyLfu`], the newcomer itself is dropped instead
-    /// when an eviction victim is estimated at least as frequent.
+    /// admitted.
     pub fn insert(
         &self,
         backend_key: u64,
@@ -522,9 +361,7 @@ impl CompileCache {
             return;
         }
         let key = mixed_key(backend_key, graph_key);
-        self.record_request(key);
         let mut evicted = 0u64;
-        let mut rejected = false;
         {
             let mut shard = self.shard_for(key);
             let bucket = shard.buckets.entry(key).or_default();
@@ -548,21 +385,10 @@ impl CompileCache {
                 // admissions, so steady-state inserts at the budget stay
                 // amortized-cheap instead of scanning the shard every time.
                 let target = self.shard_budget - self.shard_budget / 8;
-                match &self.sketch {
-                    None => evicted = evict_lru_to(&mut shard, target),
-                    Some(sketch) => {
-                        let sketch = sketch.lock().unwrap_or_else(PoisonError::into_inner);
-                        (evicted, rejected) =
-                            evict_admitting(&mut shard, target, (key, stamp), &sketch);
-                    }
-                }
+                evicted = evict_lru_to(&mut shard, target);
             }
         }
-        if rejected {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.insertions.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
@@ -596,7 +422,6 @@ impl CompileCache {
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            rejected_admissions: self.rejected.load(Ordering::Relaxed),
             entries: self.len(),
             entry_bytes: self.entry_bytes(),
             budget_bytes: self.budget_bytes,
@@ -708,7 +533,7 @@ impl CompileCache {
     /// peak ([`Schedule::from_order`]) and confirming it matches the stored
     /// value — re-encoded ([`Structure::of`]; node names in the file do
     /// not matter) and re-admitted through the normal [`insert`] path, so
-    /// budget accounting, shard routing, and admission policy apply exactly
+    /// budget accounting and shard routing apply exactly
     /// as they would to fresh compiles (a load can therefore also migrate
     /// between shard counts and byte budgets). A corrupt shard file —
     /// truncated, bit-flipped (checksum mismatch), unparseable, or the
@@ -921,46 +746,6 @@ fn evict_lru_to(shard: &mut Shard, target: u64) -> u64 {
     evicted
 }
 
-/// The [`AdmissionPolicy::TinyLfu`] counterpart of [`evict_lru_to`]: walks
-/// victims in LRU order, but before evicting each one compares sketch
-/// frequencies — if the victim is estimated at least as frequent as the
-/// just-inserted `candidate`, the candidate is removed instead and the walk
-/// stops (no point freeing room for an entry we are dropping). Returns the
-/// eviction count and whether the candidate was rejected.
-fn evict_admitting(
-    shard: &mut Shard,
-    target: u64,
-    candidate: (u64, u64),
-    sketch: &FrequencySketch,
-) -> (u64, bool) {
-    let (candidate_key, candidate_stamp) = candidate;
-    let candidate_freq = sketch.estimate(candidate_key);
-    let mut stamps: Vec<(u64, u64)> = shard
-        .buckets
-        .iter()
-        .flat_map(|(&key, bucket)| bucket.iter().map(move |e| (e.last_used, key)))
-        .collect();
-    stamps.sort_unstable();
-    let mut evicted = 0;
-    for (stamp, key) in stamps {
-        if shard.bytes <= target {
-            break;
-        }
-        if (stamp, key) == (candidate_stamp, candidate_key) {
-            // The candidate itself (always the freshest stamp) is never an
-            // LRU victim; reaching it means everything else was evicted.
-            continue;
-        }
-        if sketch.estimate(key) >= candidate_freq {
-            remove_entry(shard, candidate_key, candidate_stamp);
-            return (evicted, true);
-        }
-        remove_entry(shard, key, stamp);
-        evicted += 1;
-    }
-    (evicted, false)
-}
-
 /// Removes the entry identified by `(key, stamp)` from `shard`, maintaining
 /// the byte account. Stamps are unique (the clock is bumped per admission
 /// and per hit), so the pair identifies exactly one entry.
@@ -995,17 +780,12 @@ mod tests {
     /// A single-shard cache sized to hold exactly `entries` chain graphs,
     /// so LRU behavior is deterministic in tests.
     fn small_cache(entries: u64) -> CompileCache {
-        small_cache_with(entries, AdmissionPolicy::Lru)
-    }
-
-    fn small_cache_with(entries: u64, admission: AdmissionPolicy) -> CompileCache {
         let g = chain("sizer", 8);
         let s = schedule_of(&g);
         let per_entry = CompileCache::charge_for(&Structure::of(&g), &[], &s.order);
         CompileCache::with_config(CompileCacheConfig {
             max_bytes: per_entry * entries + per_entry / 2,
             shards: 1,
-            admission,
         })
     }
 
@@ -1133,11 +913,7 @@ mod tests {
     fn oversized_entries_are_not_admitted() {
         // An entry that could never fit must not evict the whole shard
         // only to be evicted itself.
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 64,
-            shards: 1,
-            ..Default::default()
-        });
+        let cache = CompileCache::with_config(CompileCacheConfig { max_bytes: 64, shards: 1 });
         let g = chain("g", 8);
         cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         assert!(cache.is_empty());
@@ -1148,11 +924,8 @@ mod tests {
     fn contended_access_completes() {
         // Many threads hammering lookups and inserts on few shards: no
         // deadlock (single-lock discipline) and consistent final counters.
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 2,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 2 });
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let cache = &cache;
@@ -1176,11 +949,8 @@ mod tests {
 
     #[test]
     fn poisoned_shard_recovers_without_deadlock() {
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 1,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 1 });
         let g = chain("g", 8);
         let key = fingerprint(&g);
         let s = schedule_of(&g);
@@ -1223,108 +993,10 @@ mod tests {
     }
 
     #[test]
-    fn tinylfu_rejects_one_shot_floods() {
-        // A hot working set that has been looked up repeatedly must survive
-        // a flood of one-shot inserts: each newcomer's frequency is 1,
-        // below every resident's, so the newcomer is dropped instead.
-        let cache = small_cache_with(2, AdmissionPolicy::TinyLfu);
-        let hot: Vec<Graph> = (0..2).map(|i| chain(&format!("hot{i}"), 8 + i)).collect();
-        let keys: Vec<u64> = hot.iter().map(fingerprint).collect();
-        for (g, &key) in hot.iter().zip(&keys) {
-            cache.insert(1, key, Structure::of(g), &[], &schedule_of(g));
-        }
-        for _ in 0..3 {
-            for (g, &key) in hot.iter().zip(&keys) {
-                assert!(cache.lookup(1, key, &Structure::of(g), &[]).is_some());
-            }
-        }
-        for i in 0..8 {
-            let one_shot = chain(&format!("flood{i}"), 100 + i);
-            cache.insert(
-                1,
-                fingerprint(&one_shot),
-                Structure::of(&one_shot),
-                &[],
-                &schedule_of(&one_shot),
-            );
-        }
-        for (g, &key) in hot.iter().zip(&keys) {
-            assert!(
-                cache.lookup(1, key, &Structure::of(g), &[]).is_some(),
-                "hot entry must survive the flood"
-            );
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.rejected_admissions, 8, "every one-shot insert is rejected");
-        assert_eq!(stats.evictions, 0, "nothing is evicted to make room for rejects");
-    }
-
-    #[test]
-    fn tinylfu_admits_a_frequent_newcomer() {
-        // A newcomer that has been *requested* more often than a resident
-        // (repeated misses count) must displace it — frequency-aware
-        // admission is not a write lock on the first working set.
-        let cache = small_cache_with(2, AdmissionPolicy::TinyLfu);
-        let cold: Vec<Graph> = (0..2).map(|i| chain(&format!("cold{i}"), 8 + i)).collect();
-        for g in &cold {
-            cache.insert(1, fingerprint(g), Structure::of(g), &[], &schedule_of(g));
-        }
-        let wanted = chain("wanted", 64);
-        let wkey = fingerprint(&wanted);
-        for _ in 0..4 {
-            assert!(cache.lookup(1, wkey, &Structure::of(&wanted), &[]).is_none(), "still a miss");
-        }
-        cache.insert(1, wkey, Structure::of(&wanted), &[], &schedule_of(&wanted));
-        assert!(
-            cache.lookup(1, wkey, &Structure::of(&wanted), &[]).is_some(),
-            "frequent newcomer admitted"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.rejected_admissions, 0);
-        assert!(stats.evictions > 0, "a resident was displaced");
-    }
-
-    #[test]
-    fn lru_policy_never_rejects() {
-        let cache = small_cache(2);
-        for i in 0..6 {
-            let g = chain(&format!("g{i}"), 8 + i);
-            cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.rejected_admissions, 0);
-        assert!(stats.evictions > 0);
-    }
-
-    #[test]
-    fn frequency_sketch_estimates_and_ages() {
-        let mut sketch = FrequencySketch::new(256);
-        for _ in 0..10 {
-            sketch.increment(42);
-        }
-        sketch.increment(7);
-        assert!(sketch.estimate(42) >= 10, "conservative update undercounts only via aging");
-        assert!(sketch.estimate(7) >= 1);
-        assert!(sketch.estimate(42) > sketch.estimate(7));
-        // Saturation: estimates never exceed the cap.
-        for _ in 0..100 {
-            sketch.increment(42);
-        }
-        assert!(sketch.estimate(42) <= FrequencySketch::CAP);
-        // Aging halves everything.
-        let before = sketch.estimate(42);
-        sketch.age();
-        assert_eq!(sketch.estimate(42), before / 2);
-    }
-
-    #[test]
     fn persistence_round_trip_preserves_entries_and_budget() {
         let dir = scratch_dir("roundtrip");
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 4,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 4 });
         let graphs: Vec<Graph> = (0..6).map(|i| chain(&format!("g{i}"), 8 + i)).collect();
         let keys: Vec<u64> = graphs.iter().map(fingerprint).collect();
         let schedules: Vec<Schedule> = graphs.iter().map(schedule_of).collect();
@@ -1340,11 +1012,8 @@ mod tests {
         assert_eq!(saved.entries_ok, 7);
         assert!(!saved.degraded());
 
-        let restored = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 4,
-            ..Default::default()
-        });
+        let restored =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 4 });
         let loaded = restored.load_from_dir(&dir).unwrap();
         assert_eq!(loaded.shards_ok, 4);
         assert_eq!(loaded.entries_ok, 7);
@@ -1439,11 +1108,8 @@ mod tests {
     #[test]
     fn corrupted_shard_degrades_to_cold_not_crash() {
         let dir = scratch_dir("corrupt");
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 2,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 2 });
         // Several graphs so both shards get at least one entry with high
         // probability; assert on totals rather than per-shard placement.
         let graphs: Vec<Graph> = (0..8).map(|i| chain(&format!("g{i}"), 8 + i)).collect();
@@ -1453,11 +1119,8 @@ mod tests {
         cache.save_to_dir(&dir).unwrap();
         std::fs::write(dir.join("shard-000.json"), "{ definitely not json").unwrap();
 
-        let restored = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 2,
-            ..Default::default()
-        });
+        let restored =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 2 });
         let report = restored.load_from_dir(&dir).unwrap();
         assert_eq!(report.shards_failed, 1, "the corrupted shard is skipped");
         assert_eq!(report.shards_quarantined, 1, "and quarantined");
@@ -1528,11 +1191,8 @@ mod tests {
     #[test]
     fn truncated_shard_is_quarantined_on_load() {
         let dir = scratch_dir("truncated");
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 1,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 1 });
         let g = chain("g", 8);
         cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         cache.save_to_dir(&dir).unwrap();
@@ -1552,11 +1212,8 @@ mod tests {
     #[test]
     fn bit_flipped_payload_fails_the_checksum() {
         let dir = scratch_dir("bitflip");
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 1,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 1 });
         let g = chain("g", 8);
         cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         cache.save_to_dir(&dir).unwrap();
@@ -1599,11 +1256,8 @@ mod tests {
     #[test]
     fn injected_persist_io_error_preserves_the_previous_snapshot() {
         let dir = scratch_dir("midpersist");
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 2,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 2 });
         let graphs: Vec<Graph> = (0..4).map(|i| chain(&format!("g{i}"), 8 + i)).collect();
         for g in &graphs {
             cache.insert(1, fingerprint(g), Structure::of(g), &[], &schedule_of(g));
@@ -1633,11 +1287,8 @@ mod tests {
     #[test]
     fn injected_snapshot_corruption_is_quarantined_on_the_next_load() {
         let dir = scratch_dir("snapcorrupt");
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 2,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 2 });
         let graphs: Vec<Graph> = (0..4).map(|i| chain(&format!("g{i}"), 8 + i)).collect();
         for g in &graphs {
             cache.insert(1, fingerprint(g), Structure::of(g), &[], &schedule_of(g));
@@ -1659,11 +1310,8 @@ mod tests {
         let dir = scratch_dir("tmpclean");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("shard-009.json.tmp"), "torn write from a crash").unwrap();
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 1,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 1 });
         let g = chain("g", 8);
         cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         cache.save_to_dir(&dir).unwrap();
@@ -1674,22 +1322,16 @@ mod tests {
     #[test]
     fn save_replaces_stale_shard_files() {
         let dir = scratch_dir("stale");
-        let cache = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 4,
-            ..Default::default()
-        });
+        let cache =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 4 });
         let g = chain("g", 8);
         cache.insert(1, fingerprint(&g), Structure::of(&g), &[], &schedule_of(&g));
         cache.save_to_dir(&dir).unwrap();
 
         // A smaller cache saved to the same directory must not leave the
         // old shard files behind (they would resurrect entries on load).
-        let narrow = CompileCache::with_config(CompileCacheConfig {
-            max_bytes: 1024 * 1024,
-            shards: 1,
-            ..Default::default()
-        });
+        let narrow =
+            CompileCache::with_config(CompileCacheConfig { max_bytes: 1024 * 1024, shards: 1 });
         narrow.save_to_dir(&dir).unwrap();
         let shard_files = std::fs::read_dir(&dir)
             .unwrap()

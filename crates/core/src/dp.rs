@@ -87,9 +87,12 @@
 //!
 //! * **Soft-budget pruning** — transitions whose `µ_peak` exceeds the budget
 //!   τ are discarded; with τ ≥ µ* the optimum survives (Figure 8(a)).
-//! * **Per-step timeout** — if one search step exceeds `T`, the run aborts
-//!   with [`ScheduleError::Timeout`], the signal Algorithm 2's meta-search
-//!   reacts to.
+//! * **Per-step state cap** — Algorithm 2's per-step time limit `T`, as a
+//!   count: if a step's merged next frontier holds more than
+//!   [`DpConfig::max_states`] signatures, the run aborts with
+//!   [`ScheduleError::Timeout`], the signal the meta-search reacts to.
+//!   Serial and sharded runs build the same merged frontier, so they trip
+//!   at the same step on any host and under any load.
 //! * **The search's own incumbent** — at a step whose frontier holds at
 //!   least four times as many states as nodes left (and at least 128), the
 //!   frontier's best state is completed greedily (a *dive*: each step takes the ready node
@@ -111,7 +114,7 @@
 //! result — peaks, representatives, and the reconstructed order — is
 //! identical to a serial run even though the arena order differs.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serenity_ir::mem::{CostModel, FixedTable, FootprintTracker, TransitionTable};
 use serenity_ir::set::wordset;
@@ -137,18 +140,17 @@ pub struct DpConfig {
     /// Soft budget τ in bytes: states whose peak exceeds it are pruned.
     /// `None` disables pruning (pure Algorithm 1).
     pub budget: Option<u64>,
-    /// Per-search-step time limit `T` (Algorithm 2's hyper-parameter).
-    pub step_timeout: Option<Duration>,
     /// Worker threads for frontier expansion (1 = serial).
     pub threads: usize,
-    /// Upper bound on memoized states per step; exceeding it aborts with
-    /// [`ScheduleError::Timeout`]. A safety valve for exploding frontiers.
+    /// Upper bound on the states of one step's merged next frontier;
+    /// exceeding it aborts with [`ScheduleError::Timeout`] at any thread
+    /// count (`None` = unlimited, the exact DP).
     pub max_states: Option<usize>,
 }
 
 impl Default for DpConfig {
     fn default() -> Self {
-        DpConfig { budget: None, step_timeout: None, threads: 1, max_states: None }
+        DpConfig { budget: None, threads: 1, max_states: None }
     }
 }
 
@@ -775,12 +777,12 @@ const DIVE_FRONTIER_RATIO: usize = 4;
 /// in-process workloads this floor leaves traced transitions at or below
 /// the ratio rule's alone, and runs whose frontiers stay small never dive.
 const DIVE_MIN_FRONTIER: usize = 128;
-/// Transitions between deadline checks.
-const TIMEOUT_CHECK_MASK: u64 = 0x3FF;
+/// Transitions between cancellation and deadline checks.
+const CONTEXT_CHECK_MASK: u64 = 0x3FF;
 
 impl DpScheduler {
     /// Creates a scheduler with the default configuration (no budget, no
-    /// timeout, serial).
+    /// state cap, serial).
     pub fn new() -> Self {
         DpScheduler::default()
     }
@@ -796,12 +798,6 @@ impl DpScheduler {
         self
     }
 
-    /// Sets the per-search-step time limit `T`.
-    pub fn step_timeout(mut self, limit: Duration) -> Self {
-        self.config.step_timeout = Some(limit);
-        self
-    }
-
     /// Sets the number of worker threads for frontier expansion.
     ///
     /// # Panics
@@ -813,7 +809,7 @@ impl DpScheduler {
         self
     }
 
-    /// Caps the number of memoized states per step.
+    /// Caps the states of each step's merged next frontier.
     pub fn max_states(mut self, max: usize) -> Self {
         self.config.max_states = Some(max);
         self
@@ -830,8 +826,8 @@ impl DpScheduler {
     ///
     /// * [`ScheduleError::NoSolution`] if a soft budget is set and every
     ///   schedule exceeds it.
-    /// * [`ScheduleError::Timeout`] if a search step exceeds the configured
-    ///   step timeout or state cap.
+    /// * [`ScheduleError::Timeout`] if a search step's next frontier exceeds
+    ///   the configured state cap.
     /// * [`ScheduleError::Graph`] if the graph is malformed.
     pub fn schedule(&self, graph: &Graph) -> Result<DpSolution, ScheduleError> {
         self.schedule_with_prefix(graph, &[])
@@ -956,7 +952,6 @@ impl DpScheduler {
         let remaining = n - prefix.len();
 
         for step in 0..remaining {
-            let step_started = Instant::now();
             let left = remaining - step;
             if frontier.len() >= DIVE_MIN_FRONTIER.max(DIVE_FRONTIER_RATIO * left) {
                 let limit = budget.min(ceiling).min(moves.incumbent);
@@ -974,10 +969,16 @@ impl DpScheduler {
             }
             let next = if self.config.threads > 1 && frontier.len() >= PARALLEL_THRESHOLD {
                 let held = record_bytes + index.bytes();
-                self.expand_parallel(&moves, &frontier, held, step, step_started, stats, ctx)?
+                self.expand_parallel(&moves, &frontier, held, stats, ctx)?
             } else {
-                self.expand_serial(&moves, &frontier, &mut index, step, step_started, stats, ctx)?
+                self.expand_serial(&moves, &frontier, &mut index, stats, ctx)?
             };
+            // Checked once per step, on the merged frontier that every thread
+            // count builds alike: a worker's candidates include duplicates,
+            // so capping them would trip where a serial run does not.
+            if self.config.max_states.is_some_and(|max| next.len() > max) {
+                return Err(ScheduleError::Timeout { step, states: next.len() });
+            }
             if next.len() == 0 {
                 // Discriminate the two pruning regimes: when the incumbent
                 // ceiling is strictly tighter than τ, every budget-pruned
@@ -1064,14 +1065,11 @@ impl DpScheduler {
 
     /// Applies the Figure 6 step for every `(state, u ∈ z)` pair of the
     /// frontier, merging candidates into the next arena as they appear.
-    #[allow(clippy::too_many_arguments)]
     fn expand_serial<A: Arena>(
         &self,
         moves: &Moves<A::Table>,
         frontier: &A,
         index: &mut SigIndex,
-        step: usize,
-        step_started: Instant,
         stats: &mut ScheduleStats,
         ctx: &CompileContext,
     ) -> Result<A, ScheduleError> {
@@ -1089,8 +1087,8 @@ impl DpScheduler {
             }
             for u in wordset::iter(frontier.z(si)) {
                 transitions += 1;
-                if transitions & TIMEOUT_CHECK_MASK == 0 {
-                    aborted = self.check_limits(step, step_started, arena.len(), ctx);
+                if transitions & CONTEXT_CHECK_MASK == 0 {
+                    aborted = ctx.check();
                     if aborted.is_err() {
                         break 'sweep;
                     }
@@ -1110,7 +1108,7 @@ impl DpScheduler {
         stats.pruned += pruned;
         stats.bound_pruned += bound_pruned;
         aborted?;
-        self.check_limits(step, step_started, arena.len(), ctx)?;
+        ctx.check()?;
         Ok(arena)
     }
 
@@ -1121,14 +1119,11 @@ impl DpScheduler {
     /// tie-breaks are intrinsic ([`wins_tie`]); only the arena order
     /// differs, and no output depends on it. `held` is the search memory
     /// live outside this step (backtrack records, the serial index).
-    #[allow(clippy::too_many_arguments)]
     fn expand_parallel<A: Arena>(
         &self,
         moves: &Moves<A::Table>,
         frontier: &A,
         held: u64,
-        step: usize,
-        step_started: Instant,
         stats: &mut ScheduleStats,
         ctx: &CompileContext,
     ) -> Result<A, ScheduleError> {
@@ -1152,7 +1147,6 @@ impl DpScheduler {
                         let mut transitions = 0u64;
                         let mut pruned = 0u64;
                         let mut bound_pruned = 0u64;
-                        let mut emitted = 0usize;
                         for si in base..end {
                             let meta = *frontier.meta(si);
                             if meta.peak > moves.incumbent {
@@ -1160,10 +1154,8 @@ impl DpScheduler {
                             }
                             for u in wordset::iter(frontier.z(si)) {
                                 transitions += 1;
-                                if transitions & TIMEOUT_CHECK_MASK == 0 {
-                                    if let Err(e) =
-                                        self.check_limits(step, step_started, emitted, ctx)
-                                    {
+                                if transitions & CONTEXT_CHECK_MASK == 0 {
+                                    if let Err(e) = ctx.check() {
                                         return (Err(e), transitions, pruned, bound_pruned);
                                     }
                                 }
@@ -1172,7 +1164,6 @@ impl DpScheduler {
                                         candidate.mu -= frontier.free_bytes(&moves.table, si, u);
                                         let shard = shard_of(candidate.hash, shards);
                                         blocks[shard].push(&sets, candidate);
-                                        emitted += 1;
                                     }
                                     Err(Pruned::Budget) => pruned += 1,
                                     Err(Pruned::Bound) => bound_pruned += 1,
@@ -1250,7 +1241,7 @@ impl DpScheduler {
             shard_arenas.iter().map(|(arena, index)| arena.bytes() + index).sum();
         let live = held + frontier.bytes() + candidate_bytes + shard_bytes + merged.bytes();
         account_memory(stats, ctx, live)?;
-        self.check_limits(step, step_started, merged.len(), ctx)?;
+        ctx.check()?;
         Ok(merged)
     }
 
@@ -1292,28 +1283,6 @@ impl DpScheduler {
         let ready = frontier.successor(&moves.table, &moves.zobrist, si, u, sets);
         let hash = meta.hash ^ moves.zobrist.key(u) ^ moves.auto_hash[u.index()] ^ ready;
         Ok(StateMeta { hash, mu: mu_after_alloc, peak, parent: si as u32, node: u })
-    }
-
-    fn check_limits(
-        &self,
-        step: usize,
-        step_started: Instant,
-        states: usize,
-        ctx: &CompileContext,
-    ) -> Result<(), ScheduleError> {
-        ctx.check()?;
-        if let Some(limit) = self.config.step_timeout {
-            let elapsed = step_started.elapsed();
-            if elapsed > limit {
-                return Err(ScheduleError::Timeout { step, elapsed });
-            }
-        }
-        if let Some(max) = self.config.max_states {
-            if states > max {
-                return Err(ScheduleError::Timeout { step, elapsed: step_started.elapsed() });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1853,24 +1822,15 @@ mod tests {
         padded
     }
 
-    /// A run's result with the wall-clock part of a state-cap abort (its
-    /// elapsed time) dropped, so two runs compare exactly.
-    fn outcome(result: Result<Schedule, ScheduleError>) -> Result<Schedule, String> {
-        result.map_err(|e| match e {
-            ScheduleError::Timeout { step, .. } => format!("timeout at step {step}"),
-            e => format!("{e:?}"),
-        })
-    }
-
     /// The search over layout `A`, bypassing the width dispatch.
     fn run_as<A: Arena>(
         dp: &DpScheduler,
         g: &Graph,
         prefix: &[NodeId],
         ctx: &CompileContext,
-    ) -> (Result<Schedule, String>, [u64; 5]) {
+    ) -> (Result<Schedule, ScheduleError>, [u64; 5]) {
         let mut stats = ScheduleStats::default();
-        let result = outcome(dp.search_in::<A>(g, prefix, ctx, &mut stats));
+        let result = dp.search_in::<A>(g, prefix, ctx, &mut stats);
         let counters =
             [stats.states, stats.transitions, stats.pruned, stats.bound_pruned, stats.steps as u64];
         (result, counters)
@@ -1884,7 +1844,7 @@ mod tests {
         g: &Graph,
         prefix: &[NodeId],
         ctx: &CompileContext,
-    ) -> (Result<Schedule, String>, [u64; 5]) {
+    ) -> (Result<Schedule, ScheduleError>, [u64; 5]) {
         let fixed = if g.len() <= 64 {
             let one = run_as::<FixedArena<1>>(dp, g, prefix, ctx);
             assert_eq!(one, run_as::<FixedArena<2>>(dp, g, prefix, ctx), "one vs two words");
@@ -1894,7 +1854,7 @@ mod tests {
         };
         let pooled = run_as::<PooledArena>(dp, g, prefix, ctx);
         assert_eq!(fixed, pooled, "{} nodes, prefix {prefix:?}, {:?}", g.len(), dp.config());
-        let dispatched = outcome(dp.run(g, prefix, ctx, &mut ScheduleStats::default()));
+        let dispatched = dp.run(g, prefix, ctx, &mut ScheduleStats::default());
         assert_eq!(dispatched, fixed.0);
         fixed
     }
@@ -1902,9 +1862,7 @@ mod tests {
     /// Every layout agrees on `g` with and without a pinned prefix, at 1, 2
     /// and 4 threads: unconstrained, with τ below, at and above µ*, under a
     /// weak and a tie-winning incumbent bound, and with a state cap that
-    /// trips. Apart from the capped run (whose workers check the cap at
-    /// different points), every thread count also returns the same result
-    /// and counters.
+    /// trips. Every thread count also returns the same result and counters.
     fn assert_layouts_agree_on(g: &Graph) {
         use crate::backend::{BoundHandle, CompileContext};
         let unconstrained = CompileContext::unconstrained();
@@ -1930,15 +1888,15 @@ mod tests {
                     runs.push(assert_layouts_agree(&dp, g, prefix, &ctx));
                     assert_eq!(runs.last().unwrap().0.is_ok(), solves);
                 }
+                // A cap of one state trips at the first branching step.
+                let capped = dp.clone().max_states(1);
+                runs.push(assert_layouts_agree(&capped, g, prefix, &unconstrained));
+                assert!(matches!(runs.last().unwrap().0, Err(ScheduleError::Timeout { .. })));
                 if threads == 1 {
                     serial = runs;
                 } else {
                     assert_eq!(runs, serial, "{threads} threads, prefix {prefix:?}");
                 }
-                // A cap of one state trips at the first branching step.
-                let capped = dp.clone().max_states(1);
-                let (result, _) = assert_layouts_agree(&capped, g, prefix, &unconstrained);
-                assert!(result.unwrap_err().starts_with("timeout"));
             }
         }
     }
@@ -1968,23 +1926,54 @@ mod tests {
     fn fixed_width_layouts_match_the_pooled_layout_on_sharded_frontiers() {
         use crate::backend::{BoundHandle, CompileContext};
         // Frontiers of up to 924 states, past PARALLEL_THRESHOLD, at both
-        // fixed widths: the sharded merge, mid-step limit checks (a step
-        // takes thousands of transitions) and bound pruning all run.
+        // fixed widths: the sharded merge, mid-step context checks (a step
+        // takes thousands of transitions), bound pruning and a state cap
+        // that trips all run, with equal results and counters at every
+        // thread count.
         let g = serenity_ir::random_dag::independent_branches(12, 10);
         for g in [with_tail(g.clone(), 64), with_head(&g, 128), with_tail(g, 128)] {
             let optimum = DpScheduler::new().schedule(&g).unwrap().schedule.peak_bytes;
+            let mut serial = Vec::new();
             for threads in [1, 2, 4] {
                 let dp = DpScheduler::new().threads(threads);
                 let unconstrained = CompileContext::unconstrained();
-                assert!(assert_layouts_agree(&dp, &g, &[], &unconstrained).0.is_ok());
                 let weak = CompileContext::unconstrained()
                     .with_bound(Some(BoundHandle::seeded_weak(optimum)));
-                assert!(assert_layouts_agree(&dp, &g, &[], &weak).0.is_ok());
-                let capped = dp.clone().max_states(300);
-                let (result, _) = assert_layouts_agree(&capped, &g, &[], &unconstrained);
-                assert!(result.unwrap_err().starts_with("timeout"));
-                let tight = dp.clone().budget(optimum - 1);
-                assert!(assert_layouts_agree(&tight, &g, &[], &unconstrained).0.is_err());
+                let runs = vec![
+                    assert_layouts_agree(&dp, &g, &[], &unconstrained),
+                    assert_layouts_agree(&dp, &g, &[], &weak),
+                    assert_layouts_agree(&dp.clone().max_states(300), &g, &[], &unconstrained),
+                    assert_layouts_agree(&dp.clone().budget(optimum - 1), &g, &[], &unconstrained),
+                ];
+                assert!(runs[0].0.is_ok() && runs[1].0.is_ok());
+                assert!(matches!(runs[2].0, Err(ScheduleError::Timeout { .. })));
+                assert!(matches!(runs[3].0, Err(ScheduleError::NoSolution { .. })));
+                if threads == 1 {
+                    serial = runs;
+                } else {
+                    assert_eq!(runs, serial, "{threads} threads, {} nodes", g.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_cap_counts_merged_states_at_every_thread_count() {
+        // 12 independent branches: the widest merged frontier holds
+        // C(12,6) = 924 states, while each worker of a 2-thread step emits
+        // about 2,772 candidates (792 states × 7 ready nodes, halved). A cap
+        // between the two solves at every thread count; one below the
+        // widest frontier stops every thread count at the same step.
+        let g = serenity_ir::random_dag::independent_branches(12, 10);
+        let unconstrained = CompileContext::unconstrained();
+        for (cap, solves) in [(924, true), (1000, true), (923, false)] {
+            let serial =
+                assert_layouts_agree(&DpScheduler::new().max_states(cap), &g, &[], &unconstrained);
+            assert_eq!(serial.0.is_ok(), solves, "cap {cap}: {:?}", serial.0);
+            for threads in [2, 4] {
+                let dp = DpScheduler::new().threads(threads).max_states(cap);
+                let parallel = assert_layouts_agree(&dp, &g, &[], &unconstrained);
+                assert_eq!(parallel, serial, "cap {cap}, {threads} threads");
             }
         }
     }

@@ -16,13 +16,15 @@ pub enum ScheduleError {
         /// The budget that admitted no schedule, in bytes.
         budget: u64,
     },
-    /// A search step exceeded the per-step time limit `T` (Algorithm 2's
-    /// `'timeout'` flag), or the state table outgrew the configured cap.
+    /// A search step's next frontier outgrew the DP's state cap
+    /// ([`DpConfig::max_states`](crate::dp::DpConfig::max_states)), the
+    /// deterministic stand-in for Algorithm 2's per-step time limit `T`
+    /// (its `'timeout'` flag).
     Timeout {
-        /// Search step at which the limit was hit.
+        /// Search step at which the cap was hit.
         step: usize,
-        /// Elapsed wall-clock time in the offending step.
-        elapsed: Duration,
+        /// States in that step's merged next frontier.
+        states: usize,
     },
     /// The adaptive budget meta-search exhausted its round limit without a
     /// DP solution; the caller may fall back to the hard-budget schedule.
@@ -35,8 +37,9 @@ pub enum ScheduleError {
     },
     /// The compile run's wall-clock deadline
     /// ([`CompileOptions::deadline`](crate::backend::CompileOptions))
-    /// expired. Distinct from [`ScheduleError::Timeout`], which is the
-    /// *per-search-step* soft limit that adaptive budgeting reacts to.
+    /// expired: the only wall clock in a compile. Distinct from
+    /// [`ScheduleError::Timeout`], the *per-search-step* state cap that
+    /// adaptive budgeting reacts to.
     DeadlineExceeded {
         /// Elapsed wall-clock time when the abort was observed.
         elapsed: Duration,
@@ -91,8 +94,8 @@ impl fmt::Display for ScheduleError {
             ScheduleError::NoSolution { budget } => {
                 write!(f, "no schedule fits within the soft budget of {budget} bytes")
             }
-            ScheduleError::Timeout { step, elapsed } => {
-                write!(f, "search step {step} exceeded its time limit after {elapsed:?}")
+            ScheduleError::Timeout { step, states } => {
+                write!(f, "search step {step} exceeded its state cap with {states} states")
             }
             ScheduleError::BudgetSearchExhausted { rounds, .. } => {
                 write!(f, "adaptive soft budgeting found no solution in {rounds} rounds")
@@ -141,7 +144,7 @@ mod tests {
     fn display_is_informative() {
         let e = ScheduleError::NoSolution { budget: 1024 };
         assert!(e.to_string().contains("1024"));
-        let e = ScheduleError::Timeout { step: 7, elapsed: Duration::from_millis(3) };
+        let e = ScheduleError::Timeout { step: 7, states: 3 };
         assert!(e.to_string().contains("step 7"));
         let e = ScheduleError::MemoryBudgetExceeded { used: 2048, budget: 1024 };
         assert!(e.to_string().contains("2048"));

@@ -21,12 +21,14 @@
 //!   `O(|V|!)`. Backend name: `dp`.
 //! * [`budget::AdaptiveSoftBudget`] — the meta-search of §3.2 (Algorithm 2):
 //!   a binary search over the pruning budget τ, driven by the
-//!   `{solution, no-solution, timeout}` flags of budget-pruned DP runs. Two
-//!   deviations from the paper: τ starts at the smaller of the Kahn peak and
-//!   a width-16 beam's peak, and probes stay strictly above the highest
-//!   budget that returned no solution. Both start and bounds are proven, so
-//!   every solved probe returns the unbudgeted DP's order; only the probe
-//!   count changes. Backend name: `adaptive` (the default).
+//!   `{solution, no-solution, timeout}` flags of budget-pruned DP runs. A
+//!   probe times out on a per-step state cap, not a clock, so the search is
+//!   a function of the graph. Two further deviations from the paper: τ
+//!   starts at the smaller of the Kahn peak and a width-16 beam's peak, and
+//!   probes stay strictly above the highest budget that returned no
+//!   solution. Both start and bounds are proven, so every solved probe
+//!   returns the unbudgeted DP's order; only the probe count changes.
+//!   Backend name: `adaptive` (the default).
 //! * [`beam::BeamScheduler`] — bounded-width beam search, a polynomial
 //!   fallback for graphs beyond exact reach. Backend name: `beam`.
 //! * [`baseline`] — the schedulers SERENITY is compared against: Kahn
@@ -130,7 +132,7 @@ pub use backend::{
     BackendOutcome, BoundHandle, CancelToken, CompileContext, CompileEvent, CompileOptions,
     SchedulerBackend,
 };
-pub use cache::{AdmissionPolicy, CacheStats, CompileCache, CompileCacheConfig, PersistReport};
+pub use cache::{CacheStats, CompileCache, CompileCacheConfig, PersistReport};
 pub use capacity::{CapacityObjective, CapacityReport, CapacityTarget};
 pub use error::ScheduleError;
 pub use fault::{FaultPlan, FaultPoint};

@@ -966,16 +966,6 @@ mod tests {
         })
     }
 
-    /// `adaptive` with a step timeout long enough never to fire, so its
-    /// search effort does not depend on machine speed.
-    fn steady_adaptive() -> Arc<dyn SchedulerBackend> {
-        let config = crate::budget::BudgetConfig {
-            step_timeout: Duration::from_secs(3600),
-            ..Default::default()
-        };
-        Arc::new(AdaptiveBackend::with_config(config))
-    }
-
     /// An 8-node concat RandWire cell at 16×16×12 with the given wiring seed.
     fn concat_n8(seed: u64) -> Graph {
         use serenity_nets::randwire::{randwire_cell, Aggregation, RandWireConfig};
@@ -1037,8 +1027,7 @@ mod tests {
     #[test]
     fn the_original_is_not_scheduled_once_the_rewritten_peak_is_below_its_lower_bound() {
         let g = serenity_nets::suite::by_id("swiftnet-c").unwrap().graph;
-        let (compiled, events) =
-            compile_collecting(Serenity::builder().backend(steady_adaptive()), &g);
+        let (compiled, events) = compile_collecting(Serenity::builder(), &g);
         let compiled = compiled.unwrap();
         assert!(!compiled.rewrites.is_empty());
         assert_eq!(candidates(&events), [true], "only the rewritten graph is scheduled");
@@ -1053,8 +1042,7 @@ mod tests {
             .score_backend(Arc::new(BeamBackend::default()))
             .run_unconstrained(&g)
             .unwrap();
-        let reschedule =
-            DivideAndConquer::new().backend(steady_adaptive()).schedule(&search.graph).unwrap();
+        let reschedule = DivideAndConquer::new().schedule(&search.graph).unwrap();
         assert_eq!(
             compiled.stats.transitions,
             search.stats.transitions + reschedule.total_stats.transitions
@@ -1100,7 +1088,7 @@ mod tests {
     #[test]
     fn a_deadline_compile_schedules_the_original_first() {
         let g = serenity_nets::suite::by_id("swiftnet-c").unwrap().graph;
-        let builder = Serenity::builder().backend(steady_adaptive());
+        let builder = Serenity::builder();
         let (free, _) = compile_collecting(builder.clone(), &g);
         let (bounded, events) = compile_collecting(builder.deadline(Duration::from_secs(3600)), &g);
         let (free, bounded) = (free.unwrap(), bounded.unwrap());
@@ -1218,7 +1206,6 @@ mod tests {
         let seen: Arc<Mutex<Vec<CompileEvent>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let compiled = Serenity::builder()
-            .backend(steady_adaptive())
             .rewrite_score_backend(Arc::new(scorer))
             .deadline(Duration::from_secs(2))
             .on_event(move |e| {
@@ -1236,12 +1223,7 @@ mod tests {
         assert!(!summary.kept);
         assert!(compiled.rewrites.is_empty());
         assert_eq!(candidates(&seen.lock().unwrap()), [false, true]);
-        let original = Serenity::builder()
-            .backend(steady_adaptive())
-            .rewrite(RewriteMode::Off)
-            .build()
-            .compile(&g)
-            .unwrap();
+        let original = Serenity::builder().rewrite(RewriteMode::Off).build().compile(&g).unwrap();
         assert_eq!(
             (compiled.peak_bytes, compiled.schedule.order),
             (original.peak_bytes, original.schedule.order)

@@ -220,13 +220,10 @@ fn uncut_graph_is_cached_as_one_segment() {
 
 #[test]
 fn tiny_budget_evicts_but_never_corrupts_results() {
-    // A cache far too small for the workload must keep evicting (or
-    // refusing admission) while every compile stays correct.
-    let cache = Arc::new(CompileCache::with_config(CompileCacheConfig {
-        max_bytes: 4 * 1024,
-        shards: 1,
-        ..Default::default()
-    }));
+    // A cache far too small for the workload must keep evicting while
+    // every compile stays correct.
+    let cache =
+        Arc::new(CompileCache::with_config(CompileCacheConfig { max_bytes: 4 * 1024, shards: 1 }));
     let compiler = Serenity::builder().compile_cache(Arc::clone(&cache)).build();
     let reference = Serenity::builder().build();
     for graph in workloads() {

@@ -9,11 +9,8 @@
 //! snapshot version.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use serenity_core::backend::{AdaptiveBackend, CompileContext, DpBackend, SchedulerBackend};
-use serenity_core::budget::BudgetConfig;
-use serenity_core::dp::DpConfig;
 use serenity_ir::Graph;
 use serenity_nets::randwire::{randwire_cell, RandWireConfig};
 
@@ -75,14 +72,9 @@ const GOLDEN: &[(&str, u64)] = &[
 
 #[test]
 fn dp_and_adaptive_orders_match_the_golden_hashes() {
-    // A step timeout long enough never to fire keeps the adaptive probe
-    // sequence independent of machine speed.
-    let adaptive = BudgetConfig { step_timeout: Duration::from_secs(3600), ..Default::default() };
     let (dp, adaptive) = std::thread::scope(|scope| {
-        let dp =
-            scope.spawn(|| schedule_hashes(Arc::new(DpBackend::with_config(DpConfig::default()))));
-        let adaptive =
-            scope.spawn(|| schedule_hashes(Arc::new(AdaptiveBackend::with_config(adaptive))));
+        let dp = scope.spawn(|| schedule_hashes(Arc::new(DpBackend::default())));
+        let adaptive = scope.spawn(|| schedule_hashes(Arc::new(AdaptiveBackend::default())));
         (dp.join().expect("dp runs"), adaptive.join().expect("adaptive runs"))
     });
     let expected: Vec<(String, u64)> =

@@ -19,14 +19,10 @@ fn tflite_baseline_kb(graph: &serenity_ir::Graph) -> f64 {
 }
 
 fn compiler(rewrite: RewriteMode) -> Serenity {
-    // Debug builds run the DP an order of magnitude slower; widen the
-    // per-step budget accordingly so the meta-search converges either way.
-    let step_timeout =
-        if cfg!(debug_assertions) { Duration::from_secs(5) } else { Duration::from_millis(500) };
     Serenity::builder()
         .rewrite(rewrite)
         .backend(std::sync::Arc::new(serenity_core::backend::AdaptiveBackend::with_config(
-            BudgetConfig { step_timeout, max_rounds: 24, threads: 4, max_states: Some(2_000_000) },
+            BudgetConfig { threads: 4, ..BudgetConfig::default() },
         )))
         .allocator(Some(Strategy::GreedyBySize))
         .build()

@@ -10,10 +10,8 @@
 //! 1. **The process-wide [`CompileCache`]**
 //!    ([`serenity_core::cache`]): structurally equal graphs replay stored
 //!    schedules bit-identically instead of re-running the DP/beam search.
-//!    The service adds the two pieces batch compiles never needed — disk
-//!    persistence (a restarted service reloads its shards and starts warm)
-//!    and TinyLFU admission (one-shot request floods cannot evict the hot
-//!    working set).
+//!    The service adds the piece batch compiles never needed: disk
+//!    persistence (a restarted service reloads its shards and starts warm).
 //! 2. **Single-flight coalescing** ([`singleflight`]): concurrent
 //!    *identical* requests — same backend configuration, same graph
 //!    structure — elect one leader to compile while the rest wait and
